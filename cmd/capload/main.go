@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/captrace"
 	"repro/internal/httptune"
+	"repro/internal/ops/fleet"
 	"repro/internal/profiling"
 	"repro/internal/promtext"
 )
@@ -690,7 +691,7 @@ func fetchTrace(client *http.Client, base string) ([]captrace.Snapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/debug/trace returned %d", resp.StatusCode)
 	}
-	return captrace.DecodeSnapshots(resp.Body)
+	return fleet.Decode[captrace.Snapshot](resp.Body)
 }
 
 // tierSpan scores how much of the degradation ladder a waterfall still

@@ -37,6 +37,7 @@ import (
 	"repro/internal/capscope"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
+	"repro/internal/ops/fleet"
 	"repro/internal/profparse"
 )
 
@@ -125,7 +126,7 @@ func resolveLists(target string) ([]capscope.List, error) {
 		if err != nil {
 			return nil, err
 		}
-		return capscope.DecodeLists(body)
+		return fleet.Decode[capscope.List](bytes.NewReader(body))
 	}
 	if m, err := capscope.LoadManifest(target); err == nil {
 		return []capscope.List{{Source: m.Source, Dir: filepath.Dir(target), Bundles: []capscope.Manifest{m}}}, nil
@@ -328,7 +329,7 @@ func traceSpans(raw json.RawMessage, top int) []span {
 	if len(raw) == 0 {
 		return nil
 	}
-	snaps, err := captrace.DecodeSnapshots(bytes.NewReader(raw))
+	snaps, err := fleet.Decode[captrace.Snapshot](bytes.NewReader(raw))
 	if err != nil {
 		return nil
 	}

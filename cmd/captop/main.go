@@ -33,6 +33,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/capwatch"
+	"repro/internal/ops/fleet"
 )
 
 func main() {
@@ -155,7 +157,7 @@ func fetch(url string) ([]capwatch.Report, error) {
 	if resp.StatusCode != 200 {
 		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	reps, err := capwatch.DecodeReports(body)
+	reps, err := fleet.Decode[capwatch.Report](bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("GET %s: %v", url, err)
 	}

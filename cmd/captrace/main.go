@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/captrace"
+	"repro/internal/ops/fleet"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func fetch(client *http.Client, base string, n int) ([]captrace.Snapshot, error)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/debug/trace returned %d (tracing not armed?)", resp.StatusCode)
 	}
-	return captrace.DecodeSnapshots(resp.Body)
+	return fleet.Decode[captrace.Snapshot](resp.Body)
 }
 
 func load(path string) ([]captrace.Snapshot, error) {
@@ -108,7 +109,7 @@ func load(path string) ([]captrace.Snapshot, error) {
 		defer f.Close()
 		r = f
 	}
-	return captrace.DecodeSnapshots(r)
+	return fleet.Decode[captrace.Snapshot](r)
 }
 
 // waterfall prints one trace ID's merged timeline; false when no

@@ -18,9 +18,10 @@
 // The mapping from the runtime's mechanisms to the cluster's:
 //
 //   - context tokens   → backend credits: in-flight dispatches vs. the
-//     capacity the backend advertises (response headers on every reply,
-//     /metrics on Refresh). ProbeRemote is a breaker check plus one CAS —
-//     the deny path touches no network and allocates nothing;
+//     capacity the backend advertises (the pushed credit feed, response
+//     headers on every reply, one fetched delta on Refresh). ProbeRemote
+//     is a breaker check plus one CAS — the deny path touches no network
+//     and allocates nothing;
 //   - kthr / deaths    → backend errors, timeouts and 5xx responses,
 //     recorded in a per-backend failure ring;
 //   - death throttling → the breaker: enough failures inside the window
@@ -49,7 +50,6 @@ import (
 
 	"repro/internal/capserve"
 	"repro/internal/captrace"
-	"repro/internal/promtext"
 )
 
 // Response headers the router stamps so clients and load generators can
@@ -69,7 +69,7 @@ const statusClientClosed = 499
 // Defaults applied by New for zero Config fields.
 const (
 	// DefaultCredits is the initial per-backend credit ceiling, spent
-	// before the first header or scrape teaches the real capacity.
+	// before the first header or delta teaches the real capacity.
 	DefaultCredits = 4
 	// DefaultMaxCredits caps learned credits so a corrupt header cannot
 	// open the floodgates.
@@ -86,7 +86,7 @@ const (
 	// moves on. A black-holing backend costs one attempt, not the
 	// request.
 	DefaultAttemptTimeout = 2 * time.Second
-	// DefaultRefreshTimeout bounds one credit-refresh scrape. Deliberately
+	// DefaultRefreshTimeout bounds one credit-refresh fetch. Deliberately
 	// much shorter than DefaultTimeout: the recovery feed exists to work
 	// around sick backends, so it must never wait on one.
 	DefaultRefreshTimeout = 1 * time.Second
@@ -94,8 +94,8 @@ const (
 	// backoff between failed half-open trials.
 	DefaultTrialBackoff = 100 * time.Millisecond
 	// DefaultStaleTTL is how long a backend's credit gauge stays trusted
-	// after its last live signal (push delta, response header, or scrape).
-	// Within the TTL a push-fed backend skips the Refresh scrape; past it
+	// after its last live signal (push delta, response header, or fetch).
+	// Within the TTL a push-fed backend skips the Refresh fetch; past it
 	// with *every* source quiet, the gauge decays toward Config.Credits
 	// instead of serving stale capacity forever. Several push heartbeats
 	// (DefaultFeedHeartbeat) fit inside, so one dropped event never marks
@@ -138,7 +138,7 @@ type Config struct {
 	// DefaultCredits.
 	Credits int
 
-	// MaxCredits caps credits learned from headers and scrapes. Default:
+	// MaxCredits caps credits learned from headers and deltas. Default:
 	// DefaultMaxCredits.
 	MaxCredits int
 
@@ -158,15 +158,15 @@ type Config struct {
 	// effectively disable the per-attempt slice.
 	AttemptTimeout time.Duration
 
-	// RefreshTimeout bounds one Refresh scrape of a backend's /metrics.
-	// The scrape client is separate from the dispatch client precisely
-	// so a black-holed backend cannot hold the recovery feed hostage for
-	// a full dispatch Timeout. Default: DefaultRefreshTimeout.
+	// RefreshTimeout bounds one Refresh fetch of a backend's credit
+	// delta. The fetch client is separate from the dispatch client
+	// precisely so a black-holed backend cannot hold the recovery feed
+	// hostage for a full dispatch Timeout. Default: DefaultRefreshTimeout.
 	RefreshTimeout time.Duration
 
 	// StaleTTL bounds credit-gauge trust: a backend whose push feed is
-	// fresh within the TTL skips the Refresh scrape, and a backend whose
-	// every live source (feed, headers, scrape) has been quiet past it
+	// fresh within the TTL skips the Refresh fetch, and a backend whose
+	// every live source (feed, headers, fetch) has been quiet past it
 	// decays toward Credits on each Refresh tick. Default:
 	// DefaultStaleTTL.
 	StaleTTL time.Duration
@@ -214,8 +214,8 @@ type Config struct {
 	// default idle cap of 2.
 	Transport http.RoundTripper
 
-	// Tracer receives the route-span events (KRoute*) and backs the
-	// router's /debug/trace endpoint. cmd/caprouter passes the same
+	// Tracer receives the route-span events (KRoute*); Trace hands it
+	// to the /debug/trace endpoint. cmd/caprouter passes the same
 	// tracer here and to the local tier's capserve.Config, so the
 	// router's spans and the fallback tier's land in one ring set.
 	// Default (nil): cluster-tier tracing disabled.
@@ -225,28 +225,6 @@ type Config struct {
 	// IDs (adopted client IDs are always traced). Default (0):
 	// capserve.DefaultTraceSample.
 	TraceSample int
-
-	// TraceSource names this router in trace snapshots, so cmd/captrace
-	// can tell router spans from backend spans after merging. Default:
-	// "caprouter".
-	TraceSource string
-
-	// TraceLocals are co-process snapshot providers — the spawned
-	// in-process backends of `caprouter -spawn`, each with its own
-	// tracer — whose rings the router's /debug/trace merges alongside
-	// its own (the response becomes a JSON array of snapshots;
-	// captrace.DecodeSnapshots reads either shape). Remote backends
-	// are not listed here: their /debug/trace is reachable at their
-	// own URL, and only the router knows where an ephemeral spawned
-	// backend lives. Default (nil): the router serves only its own
-	// snapshot.
-	TraceLocals []TraceSnapshotter
-}
-
-// TraceSnapshotter is anything that can contribute a trace snapshot to
-// the router's /debug/trace — satisfied by *capserve.Server.
-type TraceSnapshotter interface {
-	TraceSnapshot(n int) captrace.Snapshot
 }
 
 // Validate reports whether cfg can build a Router.
@@ -310,9 +288,8 @@ type Router struct {
 	start    time.Time
 	draining atomic.Bool
 
-	tracer      *captrace.Tracer
-	sampler     *captrace.Sampler
-	traceSource string
+	tracer  *captrace.Tracer
+	sampler *captrace.Sampler
 
 	requests       atomic.Uint64
 	remoteProbes   atomic.Uint64
@@ -320,7 +297,7 @@ type Router struct {
 	localFallbacks atomic.Uint64
 	clientGone     atomic.Uint64
 	refreshErrs    atomic.Uint64
-	refreshSkipped atomic.Uint64 // scrapes skipped because the push feed was fresh
+	refreshSkipped atomic.Uint64 // fetches skipped because the push feed was fresh
 
 	// Serving-tier outcome counters: which rung of the degradation
 	// ladder finally produced each 2xx response (the
@@ -396,22 +373,17 @@ func New(cfg Config) (*Router, error) {
 	if sample == 0 {
 		sample = capserve.DefaultTraceSample
 	}
-	source := cfg.TraceSource
-	if source == "" {
-		source = "caprouter"
-	}
 	r := &Router{
-		cfg:         cfg,
-		local:       cfg.Local,
-		place:       cfg.Placement,
-		client:      &http.Client{Transport: transport, Timeout: cfg.Timeout},
-		scrape:      &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
-		feed:        &http.Client{Transport: feedTransport},
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
-		tracer:      cfg.Tracer,
-		sampler:     captrace.NewSampler(sample),
-		traceSource: source,
+		cfg:     cfg,
+		local:   cfg.Local,
+		place:   cfg.Placement,
+		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
+		scrape:  &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
+		feed:    &http.Client{Transport: feedTransport},
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		tracer:  cfg.Tracer,
+		sampler: captrace.NewSampler(sample),
 	}
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
@@ -420,7 +392,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	r.mux.HandleFunc("GET /debug/trace", r.handleTrace)
 	r.mux.HandleFunc("GET /run/{workload}", r.handleRun)
 	r.mux.HandleFunc("POST /run/{workload}", r.handleRun)
 	r.mux.HandleFunc("GET /{$}", r.handleIndex)
@@ -577,11 +548,14 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	r.trace(traced, captrace.KRouteFallback, tid, tier, durUS(time.Since(lstart)))
 }
 
-// Refresh re-learns every backend's credit headroom from its /metrics
-// (capserve_queue_depth minus capserve_queue_occupancy). It is the slow
-// capacity feed — response headers are the fast one — and the recovery
-// path for a backend parked at zero credits with no traffic to advertise
-// through. Backends are scraped concurrently and with the dedicated
+// Refresh re-learns every backend's credit headroom from a single
+// CreditDelta fetched from GET /debug/credits?once=1 — the push feed's
+// own wire format, so the fetched delta passes the same sanity window
+// and the same seq guard as a streamed one, and a draining backend
+// reports its draining bit. It is the slow capacity feed — response
+// headers are the fast one — and the recovery path for a backend
+// parked at zero credits with no traffic to advertise through.
+// Backends are fetched concurrently and with the dedicated
 // short-timeout scrape client (Config.RefreshTimeout, not the dispatch
 // Timeout), so one black-holed backend costs the fleet at most one
 // RefreshTimeout, not a 10 s dispatch budget — the recovery feed must
@@ -590,11 +564,13 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 //
 // With the push plane live (StartFeeds), Refresh only pays for backends
 // the push plane has lost: a backend whose feed is fresh within
-// Config.StaleTTL skips its scrape (counted in refreshSkipped, the
+// Config.StaleTTL skips its fetch (counted in refreshSkipped, the
 // caprouter_refresh_skipped_total series — steady-state proof the feed
-// is carrying the fleet). A backend whose every live source is quiet
-// past the TTL *and* whose scrape just failed decays toward
-// Config.Credits instead of serving a stale gauge forever.
+// is carrying the fleet). A fetched delta never counts as feed
+// freshness, so a backend with a dead stream is fetched on every tick.
+// A backend whose every live source is quiet past the TTL *and* whose
+// fetch just failed decays toward Config.Credits instead of serving a
+// stale gauge forever.
 func (r *Router) Refresh() {
 	ttl := r.cfg.StaleTTL.Nanoseconds()
 	var wg sync.WaitGroup
@@ -618,22 +594,18 @@ func (r *Router) Refresh() {
 }
 
 func (r *Router) refreshBackend(b *Backend) error {
-	resp, err := r.scrape.Get(b.url + "/metrics")
+	resp, err := r.scrape.Get(b.url + "/debug/credits?once=1")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("capcluster: %s/debug/credits?once=1: %s", b.name, resp.Status)
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if err != nil {
 		return err
 	}
-	samples := promtext.Parse(raw)
-	depth, dok := promtext.Value(samples, "capserve_queue_depth")
-	occ, ook := promtext.Value(samples, "capserve_queue_occupancy")
-	if !dok || !ook {
-		return fmt.Errorf("capcluster: %s/metrics missing queue gauges", b.name)
-	}
-	b.learn(int(depth - occ))
-	b.markFresh()
-	return nil
+	_, err = b.takeDelta(raw, false)
+	return err
 }

@@ -265,7 +265,7 @@ func TestRefreshNotStalledBySickBackend(t *testing.T) {
 	}))
 	defer sick.Close()
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "capserve_queue_depth 24\ncapserve_queue_occupancy 4\n")
+		io.WriteString(w, `{"seq":1,"queue_free":20}`)
 	}))
 	defer healthy.Close()
 
@@ -285,7 +285,7 @@ func TestRefreshNotStalledBySickBackend(t *testing.T) {
 		t.Fatalf("Refresh took %v; the sick backend stalled the feed past its %v scrape timeout", elapsed, 200*time.Millisecond)
 	}
 	if got := hb.Credits(); got != 20 {
-		t.Fatalf("healthy credits = %d after Refresh, want 24-4=20", got)
+		t.Fatalf("healthy credits = %d after Refresh, want the advertised 20", got)
 	}
 	if r.refreshErrs.Load() == 0 {
 		t.Fatal("sick backend's scrape failure not counted")
@@ -304,7 +304,7 @@ func TestLearnRejectsCorruptHeader(t *testing.T) {
 		{"17", 17, true},
 		{"1048576", 1 << 20, true},
 		{"-3", 0, false},
-		{"1048577", 0, false},    // above headroomCeiling: absurd, not big
+		{"1048577", 0, false}, // above headroomCeiling: absurd, not big
 		{"99999999999", 0, false},
 		{"banana", 0, false},
 		{"12.5", 0, false},

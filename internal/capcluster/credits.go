@@ -1,6 +1,8 @@
 package capcluster
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,15 +266,17 @@ func (b *Backend) setCredits(c int) {
 	}
 }
 
-// applyDelta folds one push-feed delta into the gauge, guarded by the
+// applyDelta folds one credit delta into the gauge, guarded by the
 // delta's sequence number: a delta whose seq is not strictly newer than
 // the last applied one is dropped (counted in feedDrops), so reordered
 // or replayed deltas — a stale subscriber goroutine racing its
-// replacement after a reconnect — can never roll the gauge backwards.
-// A draining backend zeroes its credits instead of learning: in-flight
-// dispatches finish, but no new ones start. Returns whether the delta
-// was applied.
-func (b *Backend) applyDelta(seq uint64, free int, draining bool) bool {
+// replacement after a reconnect, or a fallback fetch landing after a
+// newer stream delta — can never roll the gauge backwards. A draining
+// backend zeroes its credits instead of learning: in-flight dispatches
+// finish, but no new ones start. Only a delta fromFeed refreshes feedNS,
+// so a fetched delta never makes Refresh skip a backend whose stream is
+// dead. Returns whether the delta was applied.
+func (b *Backend) applyDelta(seq uint64, free int, draining, fromFeed bool) bool {
 	b.feedMu.Lock()
 	defer b.feedMu.Unlock()
 	if seq <= b.feedSeq.Load() {
@@ -286,26 +290,47 @@ func (b *Backend) applyDelta(seq uint64, free int, draining bool) bool {
 		b.learn(free)
 	}
 	now := b.now()
-	b.feedNS.Store(now)
+	if fromFeed {
+		b.feedNS.Store(now)
+	}
 	b.freshNS.Store(now)
 	b.feedDeltas.Add(1)
 	return true
 }
 
-// markFresh records that a live source (a response header or a
-// successful scrape) just taught the gauge — the staleness TTL's other
+// takeDelta decodes one CreditDelta — a /debug/credits stream payload
+// or a ?once=1 body, the same wire format — and folds it into the gauge
+// through applyDelta. A delta that does not decode, or that advertises
+// headroom outside the header path's sanity window (parseHeadroom), is
+// counted in badHeaders and never reaches the gauge: a corrupt or
+// hostile advertisement must not open the floodgates.
+func (b *Backend) takeDelta(raw []byte, fromFeed bool) (capserve.CreditDelta, error) {
+	var d capserve.CreditDelta
+	err := json.Unmarshal(raw, &d)
+	if err == nil && (d.QueueFree < 0 || d.QueueFree > headroomCeiling) {
+		err = fmt.Errorf("queue_free %d outside [0, %d]", d.QueueFree, headroomCeiling)
+	}
+	if err != nil {
+		b.badHeaders.Add(1)
+		return d, fmt.Errorf("capcluster: %s credit delta: %w", b.name, err)
+	}
+	b.applyDelta(d.Seq, d.QueueFree, d.Draining, fromFeed)
+	return d, nil
+}
+
+// markFresh records that a response header just taught the gauge — the staleness TTL's other
 // input besides the feed.
 func (b *Backend) markFresh() { b.freshNS.Store(b.now()) }
 
 // feedFresh reports whether the push feed updated this gauge within
 // ttlNS — the Refresh skip condition: a backend the push plane holds
-// does not need its /metrics scraped.
+// does not need its credit delta fetched.
 func (b *Backend) feedFresh(ttlNS int64) bool {
 	last := b.feedNS.Load()
 	return last != 0 && b.now()-last <= ttlNS
 }
 
-// stale reports whether EVERY live source (feed, headers, scrape) has
+// stale reports whether EVERY live source (feed, headers, fetch) has
 // been quiet past ttlNS — the explicit staleness the gauge used to hide.
 func (b *Backend) stale(ttlNS int64) bool {
 	return b.now()-b.freshNS.Load() > ttlNS
@@ -331,12 +356,12 @@ func (b *Backend) decayStale(def int) {
 }
 
 // learn folds one advertised headroom reading (a response header or a
-// /metrics scrape) into the gauge: the backend can absorb everything
+// credit delta) into the gauge: the backend can absorb everything
 // this router already has in flight plus the free slots it just
 // advertised, capped at maxCredits. Stale advertisements self-correct —
 // a backend whose queue other tenants filled advertises less, and the
 // gauge shrinks with it. learn(0) with zero in flight parks the backend
-// at zero credits; the periodic Refresh scrape is the recovery path.
+// at zero credits; the periodic Refresh fetch is the recovery path.
 func (b *Backend) learn(free int) {
 	if free < 0 {
 		return

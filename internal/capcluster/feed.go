@@ -3,7 +3,7 @@ package capcluster
 // The subscriber half of the push plane: one goroutine per backend
 // holds a long-lived GET /debug/credits stream (capserve/feed.go) and
 // folds each delta into that backend's credit gauge, demoting the
-// response-header and /metrics-scrape paths to degraded fallbacks.
+// response-header and Refresh-fetch paths to degraded fallbacks.
 //
 // Liveness is watchdogged, not assumed: a timer armed *before* the
 // subscription dial fires after Config.StaleTTL of silence and cancels
@@ -16,19 +16,16 @@ package capcluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
-
-	"repro/internal/capserve"
 )
 
 // StartFeeds subscribes to every backend's credit feed, one goroutine
 // per backend, each reconnecting with jittered backoff until ctx is
 // cancelled. Optional: a router without it behaves exactly as before
-// (headers + Refresh scrapes). cmd/caprouter calls it under the signal
+// (headers + Refresh fetches). cmd/caprouter calls it under the signal
 // context; tests pass their own.
 func (r *Router) StartFeeds(ctx context.Context) {
 	for _, b := range r.backends {
@@ -36,7 +33,7 @@ func (r *Router) StartFeeds(ctx context.Context) {
 	}
 }
 
-// RefreshSkipped returns the scrapes Refresh has skipped because the
+// RefreshSkipped returns the fetches Refresh has skipped because the
 // push feed was fresh — the steady-state proof the push plane is live.
 func (r *Router) RefreshSkipped() uint64 { return r.refreshSkipped.Load() }
 
@@ -105,18 +102,10 @@ func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 		if !ok {
 			continue // event separators and comments
 		}
-		var d capserve.CreditDelta
-		if err := json.Unmarshal([]byte(raw), &d); err != nil {
-			b.badHeaders.Add(1)
+		d, err := b.takeDelta([]byte(raw), true)
+		if err != nil {
 			continue
 		}
-		// Same sanity window the header path applies (parseHeadroom): a
-		// corrupt or hostile advertisement must not open the floodgates.
-		if d.QueueFree < 0 || d.QueueFree > headroomCeiling {
-			b.badHeaders.Add(1)
-			continue
-		}
-		b.applyDelta(d.Seq, d.QueueFree, d.Draining)
 		if d.Draining {
 			// The stream's announced final event: the backend is going
 			// away gracefully, and its gauge is already parked at zero.

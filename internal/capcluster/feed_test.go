@@ -2,6 +2,7 @@ package capcluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,21 +22,21 @@ import (
 func TestApplyDeltaSeqRegression(t *testing.T) {
 	b := newBackend("http://127.0.0.1:1", "b0", 0, 4, 1024, 2, time.Second, 0)
 
-	if !b.applyDelta(5, 7, false) {
+	if !b.applyDelta(5, 7, false, true) {
 		t.Fatal("first delta (seq 5) not applied")
 	}
 	if got := b.Credits(); got != 7 {
 		t.Fatalf("credits = %d after delta free=7, want 7", got)
 	}
 	// An older delta (the stale goroutine's late read) must not land.
-	if b.applyDelta(3, 1, false) {
+	if b.applyDelta(3, 1, false, true) {
 		t.Fatal("seq 3 applied after seq 5")
 	}
 	if got := b.Credits(); got != 7 {
 		t.Fatalf("credits = %d after stale delta, want 7 (unchanged)", got)
 	}
 	// Equal seq is a replay, also dropped.
-	if b.applyDelta(5, 1, false) {
+	if b.applyDelta(5, 1, false, true) {
 		t.Fatal("seq 5 replay applied")
 	}
 	if got := b.feedDrops.Load(); got != 2 {
@@ -45,10 +46,10 @@ func TestApplyDeltaSeqRegression(t *testing.T) {
 		t.Fatalf("feedDeltas = %d, want 1", got)
 	}
 	// Newer delta still lands, and a draining delta parks the gauge.
-	if !b.applyDelta(6, 3, false) {
+	if !b.applyDelta(6, 3, false, true) {
 		t.Fatal("seq 6 not applied")
 	}
-	if !b.applyDelta(7, 99, true) {
+	if !b.applyDelta(7, 99, true, true) {
 		t.Fatal("draining delta (seq 7) not applied")
 	}
 	if got := b.Credits(); got != 0 {
@@ -77,7 +78,7 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < rounds; i++ {
-				b.applyDelta(seq.Add(1), i%16, false)
+				b.applyDelta(seq.Add(1), i%16, false, true)
 			}
 		}()
 	}
@@ -142,7 +143,7 @@ func TestStaleDecayToDefault(t *testing.T) {
 	ttl := (3 * time.Second).Nanoseconds()
 
 	// Feed teaches the gauge high, then goes silent.
-	b.applyDelta(1, 100, false)
+	b.applyDelta(1, 100, false, true)
 	if b.stale(ttl) {
 		t.Fatal("stale immediately after a delta")
 	}
@@ -188,7 +189,7 @@ func TestStaleDecayToDefault(t *testing.T) {
 	}
 
 	// One live delta ends staleness.
-	b.applyDelta(2, 8, false)
+	b.applyDelta(2, 8, false, true)
 	if b.stale(ttl) {
 		t.Fatal("stale right after a live delta")
 	}
@@ -199,7 +200,7 @@ func TestStaleDecayToDefault(t *testing.T) {
 // counted — while a feed-silent backend still gets the fallback scrape.
 func TestRefreshSkipsFreshFeed(t *testing.T) {
 	var scrapes atomic.Int64
-	backend := capserveMetricsStub(t, &scrapes)
+	backend := capserveCreditsStub(t, &scrapes)
 
 	r, _ := newRouter(t, Config{Backends: []string{backend.URL}, StaleTTL: time.Hour})
 	b := r.Backends()[0]
@@ -214,7 +215,7 @@ func TestRefreshSkipsFreshFeed(t *testing.T) {
 	}
 
 	// Fresh feed: Refresh skips the wire entirely.
-	b.applyDelta(1, 8, false)
+	b.applyDelta(100, 8, false, true)
 	r.Refresh()
 	r.Refresh()
 	if scrapes.Load() != 1 {
@@ -225,15 +226,14 @@ func TestRefreshSkipsFreshFeed(t *testing.T) {
 	}
 }
 
-// capserveMetricsStub serves just enough /metrics for refreshBackend,
-// counting scrapes.
-func capserveMetricsStub(t *testing.T, scrapes *atomic.Int64) *httptest.Server {
+// capserveCreditsStub serves the single credit delta refreshBackend
+// fetches, counting fetches.
+func capserveCreditsStub(t *testing.T, scrapes *atomic.Int64) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/metrics" {
-			scrapes.Add(1)
+		if req.URL.Path == "/debug/credits" && req.URL.Query().Get("once") == "1" {
+			fmt.Fprintf(w, `{"seq":%d,"queue_free":8}`, scrapes.Add(1))
 		}
-		w.Write([]byte("capserve_queue_depth 8\ncapserve_queue_occupancy 0\n"))
 	}))
 	t.Cleanup(ts.Close)
 	return ts
@@ -315,6 +315,87 @@ func TestFeedEndToEnd(t *testing.T) {
 	}
 	if b.stale(r.cfg.StaleTTL.Nanoseconds()) {
 		t.Fatal("backend stale right after a fallback scrape")
+	}
+}
+
+// TestRefreshDrainingBackendWithDeadFeed: a backend that starts
+// draining while its push feed is blackholed must reach zero credits on
+// the next Refresh. The fetched delta carries the draining bit; a
+// /metrics reading of queue depth minus occupancy could not, and left
+// the backend at its full free headroom.
+func TestRefreshDrainingBackendWithDeadFeed(t *testing.T) {
+	rt := capsule.New(capsule.Config{Contexts: 2, Throttle: true})
+	t.Cleanup(rt.Close)
+	backend, err := capserve.StartBackend(capserve.Config{Runtime: rt, QueueDepth: 8})
+	if err != nil {
+		t.Fatalf("StartBackend: %v", err)
+	}
+	t.Cleanup(backend.Kill)
+
+	park := &parkingTransport{next: http.DefaultTransport}
+	park.blackhole.Store(true)
+	r, _ := newRouter(t, Config{
+		Backends:      []string{backend.URL},
+		StaleTTL:      200 * time.Millisecond,
+		FeedBackoff:   10 * time.Millisecond,
+		FeedTransport: park,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	r.StartFeeds(ctx)
+
+	b := r.Backends()[0]
+	r.Refresh()
+	if got := b.Credits(); got != 8 {
+		t.Fatalf("credits = %d before draining, want the free queue depth 8", got)
+	}
+	backend.Server.SetDraining(true)
+	r.Refresh()
+	if got := b.Credits(); got != 0 {
+		t.Fatalf("credits = %d after one Refresh of a draining backend, want 0", got)
+	}
+	if b.feedDeltas.Load() != 2 || b.feedConnects.Load() != 0 {
+		t.Fatalf("deltas %d, feed connects %d: want both deltas from the fetch, none from the blackholed stream",
+			b.feedDeltas.Load(), b.feedConnects.Load())
+	}
+}
+
+// TestRefreshDropsOlderOnceReply: a fetched delta older than the last
+// applied stream delta is dropped by the seq guard and counted, so a
+// slow fallback fetch cannot roll the gauge back — and applying it
+// never counts as feed freshness.
+func TestRefreshDropsOlderOnceReply(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		io.WriteString(w, `{"seq":5,"queue_free":30}`)
+	}))
+	t.Cleanup(stub.Close)
+	r, _ := newRouter(t, Config{Backends: []string{stub.URL}, StaleTTL: time.Second})
+	b := r.Backends()[0]
+	var clock atomic.Int64
+	clock.Store(1)
+	b.now = func() int64 { return clock.Load() }
+
+	b.applyDelta(10, 3, false, true)
+	clock.Add(2 * time.Second.Nanoseconds()) // the stream went quiet: Refresh must fetch
+	r.Refresh()
+	if got := b.feedDrops.Load(); got != 1 {
+		t.Fatalf("feedDrops = %d, want the stale once reply counted", got)
+	}
+	if got := b.Credits(); got != 3 {
+		t.Fatalf("credits = %d, want 3 from the newer stream delta", got)
+	}
+	if r.refreshErrs.Load() != 0 {
+		t.Fatalf("a dropped reply counted as a refresh error")
+	}
+
+	// A newer fetched delta applies but leaves the stream stale.
+	b.feedSeq.Store(4)
+	r.Refresh()
+	if got := b.Credits(); got != 30 {
+		t.Fatalf("credits = %d after a newer once reply, want 30", got)
+	}
+	if b.feedFresh(time.Second.Nanoseconds()) {
+		t.Fatal("a fetched delta made the dead stream look fresh")
 	}
 }
 

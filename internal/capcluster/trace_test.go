@@ -1,7 +1,6 @@
 package capcluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -240,99 +239,33 @@ func TestSampledOutNotPropagated(t *testing.T) {
 	}
 }
 
-// TestRouterDebugTrace: the router serves its own snapshot with its
-// configured source, and 404s with tracing disabled.
+// TestRouterDebugTrace: the router's route spans land in the tracer
+// Trace names, under the "caprouter" source, and with tracing disabled
+// the endpoint built from it 404s.
 func TestRouterDebugTrace(t *testing.T) {
-	_, ts := newRouter(t, Config{Tracer: captrace.New(1, 64), TraceSample: 1, TraceSource: "edge-1"})
+	r, ts := newRouter(t, Config{Tracer: captrace.New(1, 64), TraceSample: 1})
 	get(t, ts.URL+"/run/quicksort?n=200&seed=1")
 
-	var snap captrace.Snapshot
-	resp, body := get(t, ts.URL+"/debug/trace")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	rec := httptest.NewRecorder()
+	captrace.Handler(r.Trace()).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
 	}
-	if err := json.Unmarshal(body, &snap); err != nil {
+	var snap captrace.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot body: %v", err)
 	}
-	if snap.Source != "edge-1" {
-		t.Fatalf("snapshot source = %q, want edge-1", snap.Source)
+	if snap.Source != "caprouter" {
+		t.Fatalf("snapshot source = %q, want caprouter", snap.Source)
 	}
 	if len(snap.Events) == 0 {
 		t.Fatal("empty snapshot after a traced request")
 	}
 
-	_, ts2 := newRouter(t, Config{})
-	if resp, _ := get(t, ts2.URL+"/debug/trace"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("untraced router /debug/trace = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestRouterDebugTraceMergesLocals pins the -spawn topology's one-stop
-// endpoint: a router given its in-process backend as a TraceLocals
-// provider serves an ARRAY of snapshots from /debug/trace — its own
-// route span plus the backend's serving/runtime events — so one fetch
-// of the router URL reconstructs the full three-tier waterfall even
-// though the spawned backend lives on an ephemeral port nobody else
-// knows. captrace.DecodeSnapshots must read the array shape, and both
-// halves of the traced request must be present under one ID.
-func TestRouterDebugTraceMergesLocals(t *testing.T) {
-	backendTracer := captrace.New(2, 4096)
-	b, err := capserve.StartBackend(capserve.Config{
-		Runtime:     capsule.New(capsule.Config{Contexts: 2, Tracer: backendTracer}),
-		QueueDepth:  16,
-		TraceSource: "backend-0",
-	})
-	if err != nil {
-		t.Fatalf("StartBackend: %v", err)
-	}
-	t.Cleanup(func() { b.Kill(); b.Runtime().Close() })
-
-	_, ts := newRouter(t, Config{
-		Backends:    []string{b.URL},
-		Tracer:      captrace.New(1, 256),
-		TraceLocals: []TraceSnapshotter{b.Server},
-	})
-
-	const id = "00000000cafe0004"
-	req, _ := http.NewRequest("GET", ts.URL+"/run/quicksort?n=500&seed=5", nil)
-	req.Header.Set(captrace.HeaderTraceID, id)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	httpResp, body := get(t, ts.URL+"/debug/trace")
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", httpResp.StatusCode)
-	}
-	snaps, err := captrace.DecodeSnapshots(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("DecodeSnapshots: %v", err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2 (router + spawned backend)", len(snaps))
-	}
-	if snaps[0].Source != "caprouter" || snaps[1].Source != "backend-0" {
-		t.Fatalf("sources = %q, %q; want caprouter, backend-0", snaps[0].Source, snaps[1].Source)
-	}
-
-	tid, _ := captrace.ParseID(id)
-	bySource := map[string]map[captrace.Kind]bool{}
-	for _, ev := range captrace.MergeEvents(snaps...) {
-		if ev.TID != tid {
-			continue
-		}
-		if bySource[ev.Source] == nil {
-			bySource[ev.Source] = map[captrace.Kind]bool{}
-		}
-		bySource[ev.Source][ev.Kind] = true
-	}
-	if !bySource["caprouter"][captrace.KRouteRecv] || !bySource["caprouter"][captrace.KRouteServed] {
-		t.Fatalf("router span incomplete: %v", bySource["caprouter"])
-	}
-	if !bySource["backend-0"][captrace.KReqAdmit] || !bySource["backend-0"][captrace.KReqDone] {
-		t.Fatalf("backend span incomplete: %v", bySource["backend-0"])
+	r2, _ := newRouter(t, Config{})
+	rec = httptest.NewRecorder()
+	captrace.Handler(r2.Trace()).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("untraced router /debug/trace = %d, want 404", rec.Code)
 	}
 }

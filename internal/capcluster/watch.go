@@ -111,7 +111,3 @@ func (r *Router) Mount(pattern string, h http.Handler) { r.mux.Handle(pattern, h
 // /metrics, emitted after the caprouter_* series and the local tier's
 // exposition. Wire before serving starts.
 func (r *Router) AddMetrics(f func(io.Writer)) { r.extraMetrics = append(r.extraMetrics, f) }
-
-// TraceHandler returns the /debug/trace handler as a mountable value
-// for a side debug listener (cmd/caprouter -debug-addr).
-func (r *Router) TraceHandler() http.Handler { return http.HandlerFunc(r.handleTrace) }

@@ -1,7 +1,9 @@
 package capscope
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/capsule"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
+	"repro/internal/ops/fleet"
 )
 
 // newThrottledRuntime builds a runtime whose death-rate throttle trips
@@ -205,7 +208,7 @@ func TestBundleContents(t *testing.T) {
 	if rep.Source != "test" {
 		t.Errorf("rollup source = %q", rep.Source)
 	}
-	snaps, err := captrace.DecodeSnapshots(strings.NewReader(string(b.Trace)))
+	snaps, err := fleet.Decode[captrace.Snapshot](bytes.NewReader(b.Trace))
 	if err != nil {
 		t.Fatalf("trace.json: %v", err)
 	}
@@ -273,7 +276,7 @@ func TestPruneAndRestart(t *testing.T) {
 
 // TestHandler pins the /debug/incident contract: object for one
 // recorder, array for a fleet, ?id= fetch, DELETE semantics, and
-// DecodeLists reading both shapes.
+// the shared fleet decoder reading both shapes.
 func TestHandler(t *testing.T) {
 	rt := newThrottledRuntime(t)
 	rec, s, clock := testRecorder(t, rt, Config{Source: "alpha", Cooldown: time.Second})
@@ -299,9 +302,9 @@ func TestHandler(t *testing.T) {
 	if body[0] == '[' {
 		t.Fatalf("single recorder served an array")
 	}
-	lists, err := DecodeLists(body)
+	lists, err := fleet.Decode[List](bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("DecodeLists(object): %v", err)
+		t.Fatalf("decode(object): %v", err)
 	}
 	if len(lists) != 1 || lists[0].Source != "alpha" || len(lists[0].Bundles) != 1 {
 		t.Fatalf("bad list: %+v", lists)
@@ -314,9 +317,9 @@ func TestHandler(t *testing.T) {
 	if w.Body.Bytes()[0] != '[' {
 		t.Fatalf("fleet handler did not serve an array")
 	}
-	lists, err = DecodeLists(w.Body.Bytes())
+	lists, err = fleet.Decode[List](w.Body)
 	if err != nil {
-		t.Fatalf("DecodeLists(array): %v", err)
+		t.Fatalf("decode(array): %v", err)
 	}
 	if len(lists) != 2 || lists[0].Source != "alpha" || lists[1].Source != "beta" {
 		t.Fatalf("bad fleet lists: %+v", lists)
@@ -359,5 +362,28 @@ func TestHandler(t *testing.T) {
 	}
 	if rec.Incidents() != 1 {
 		t.Fatalf("incident counter reset by DELETE")
+	}
+}
+
+// TestHandlerInvalidIDReadsNoDisk: an ID that names no bundle 404s
+// before any disk access. "." used to resolve to the process's working
+// directory, which served a manifest lying there as a bundle.
+func TestHandlerInvalidIDReadsNoDisk(t *testing.T) {
+	rt := newThrottledRuntime(t)
+	rec, err := New(Config{Dir: t.TempDir(), Runtime: rt, Source: "alpha"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	cwd := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cwd, FileManifest), []byte(`{"trigger":"planted"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(cwd)
+	for _, id := range []string{".", ".."} {
+		w := httptest.NewRecorder()
+		Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/incident?id="+id, nil))
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("id %q: %d %s, want 404", id, w.Code, w.Body.String())
+		}
 	}
 }

@@ -1,13 +1,15 @@
 package capscope
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
+
+	"repro/internal/ops/fleet"
 )
 
-// /debug/incident follows /debug/trace's merge convention exactly: a
+// /debug/incident follows the fleet package's object-or-array rule: a
 // lone capserve serves a single List object; a router that also owns
 // its spawned backends' recorders serves a JSON array, its own list
 // first, so one URL yields the whole fleet's incidents. ?id= fetches
@@ -40,33 +42,26 @@ func Handler(recs ...*Recorder) http.Handler {
 		switch req.Method {
 		case http.MethodGet:
 			if id != "" {
-				for _, r := range recs {
-					m, err := LoadManifest(bundlePath(r, id))
-					if err != nil || m.ID != id {
-						continue
+				// An invalid ID must 404 before any disk access: it names
+				// no bundle, and joined onto a recorder dir it could
+				// name a file outside it.
+				if validBundleID(id) {
+					for _, r := range recs {
+						dir := filepath.Join(r.dir, id)
+						if m, err := LoadManifest(dir); err != nil || m.ID != id {
+							continue
+						}
+						if b, err := LoadBundle(dir); err == nil {
+							w.Header().Set("Content-Type", "application/json")
+							json.NewEncoder(w).Encode(b)
+							return
+						}
 					}
-					b, err := LoadBundle(bundlePath(r, id))
-					if err != nil {
-						continue
-					}
-					w.Header().Set("Content-Type", "application/json")
-					json.NewEncoder(w).Encode(b)
-					return
 				}
 				http.Error(w, fmt.Sprintf("no bundle %q", id), http.StatusNotFound)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			if len(recs) == 1 {
-				enc.Encode(recs[0].listOf())
-				return
-			}
-			lists := make([]List, 0, len(recs))
-			for _, r := range recs {
-				lists = append(lists, r.listOf())
-			}
-			enc.Encode(lists)
+			fleet.Write(w, recs, (*Recorder).listOf)
 		case http.MethodDelete:
 			n := 0
 			for _, r := range recs {
@@ -87,33 +82,4 @@ func Handler(recs ...*Recorder) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	})
-}
-
-func bundlePath(r *Recorder, id string) string {
-	if !validBundleID(id) {
-		return ""
-	}
-	return r.dir + "/" + id
-}
-
-// DecodeLists parses a GET /debug/incident body in either shape — a
-// single List object or an array — always returning a slice, so the
-// capscope CLI and smoke scripts don't care which topology they hit.
-func DecodeLists(data []byte) ([]List, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("capscope: empty incident response")
-	}
-	if trimmed[0] == '[' {
-		var lists []List
-		if err := json.Unmarshal(trimmed, &lists); err != nil {
-			return nil, fmt.Errorf("capscope: decoding incident array: %w", err)
-		}
-		return lists, nil
-	}
-	var l List
-	if err := json.Unmarshal(trimmed, &l); err != nil {
-		return nil, fmt.Errorf("capscope: decoding incident list: %w", err)
-	}
-	return []List{l}, nil
 }

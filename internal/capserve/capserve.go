@@ -206,18 +206,19 @@ func New(cfg Config) (*Server, error) {
 		heartbeat = DefaultFeedHeartbeat
 	}
 	s := &Server{
-		rt:          cfg.Runtime,
-		queue:       make(chan struct{}, depth),
-		maxN:        map[string]int{},
-		workloads:   workloads.NativeNames(),
-		eps:         map[string]*endpoint{},
-		mux:         http.NewServeMux(),
-		start:       time.Now(),
+		rt:            cfg.Runtime,
+		queue:         make(chan struct{}, depth),
+		maxN:          map[string]int{},
+		workloads:     workloads.NativeNames(),
+		eps:           map[string]*endpoint{},
+		mux:           http.NewServeMux(),
+		start:         time.Now(),
 		tracer:        tracer,
 		sampler:       captrace.NewSampler(sample),
 		traceSource:   source,
 		feedHeartbeat: heartbeat,
 	}
+	s.feed.seq.Store(uint64(time.Now().UnixNano()))
 	for _, wl := range s.workloads {
 		s.eps[wl] = &endpoint{}
 		if cap, ok := defaultCaps[wl]; ok {
@@ -231,7 +232,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /debug/credits", s.handleCredits)
 	s.mux.HandleFunc("GET /run/{workload}", s.handleRun)
 	s.mux.HandleFunc("POST /run/{workload}", s.handleRun)

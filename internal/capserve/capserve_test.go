@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/capsule"
+	"repro/internal/captrace"
 	"repro/internal/workloads"
 )
 
@@ -29,6 +30,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	s.Mount("GET /debug/trace", captrace.Handler(s.Trace()))
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

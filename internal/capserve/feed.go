@@ -1,14 +1,12 @@
 package capserve
 
 // The push plane: /debug/credits streams credit/health deltas to
-// subscribed routers, inverting the pull paths (response headers, the
-// /metrics scrape) that fed the cluster tier's credit gauges before.
-// Headers and scrapes remain as degraded fallbacks — a router that
-// cannot hold a subscription learns exactly what it learned before —
-// but a live feed makes credit freshness an event, not a polling
-// interval: every admission-queue transition publishes, and an idle
-// server heartbeats, so a router's gauge is never staler than one
-// heartbeat while the stream lives.
+// subscribed routers. Response headers and a single-delta fetch
+// (?once=1, the same wire format) remain as degraded fallbacks for a
+// router that cannot hold a subscription, but a live feed makes credit
+// freshness an event, not a polling interval: every admission-queue
+// transition publishes, and an idle server heartbeats, so a router's
+// gauge is never staler than one heartbeat while the stream lives.
 //
 // The wire format is server-sent events: one `data: {json}` line per
 // delta, flushed immediately. Each delta carries a sequence number
@@ -39,7 +37,9 @@ const DefaultFeedHeartbeat = 500 * time.Millisecond
 // router acts on (draining, build identity), stamped with a per-server
 // monotonic sequence number.
 type CreditDelta struct {
-	// Seq is monotonically increasing per server process. A subscriber
+	// Seq is monotonically increasing per server process, starting
+	// from the wall clock in nanoseconds at New, so a process restarted
+	// on the same address continues above its predecessor. A subscriber
 	// must ignore any delta whose Seq is <= the last one it applied.
 	Seq uint64 `json:"seq"`
 	// QueueFree is the accept-queue headroom (HeaderQueueFree's value).
@@ -126,7 +126,17 @@ func (s *Server) creditDelta() CreditDelta {
 // server must not hold subscriber connections open, or graceful
 // Shutdown would wait on them; the final delta carries Draining=true so
 // the subscriber learns why before the EOF.
+//
+// GET /debug/credits?once=1 answers with one delta as a plain JSON body
+// instead: the fallback a router fetches for a backend whose stream it
+// has lost. It is served while draining too, because the Draining bit
+// is exactly what that router needs to learn.
 func (s *Server) handleCredits(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("once") == "1" {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(s.creditDelta())
+		return
+	}
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return

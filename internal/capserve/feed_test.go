@@ -112,4 +112,14 @@ func TestCreditFeedDraining(t *testing.T) {
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("subscription while draining: status %d, want 503", resp2.StatusCode)
 	}
+
+	// The single-delta fallback still answers, newer than the stream's
+	// last delta and carrying the draining bit.
+	var once CreditDelta
+	if resp := getJSON(t, ts.URL+"/debug/credits?once=1", &once); resp.StatusCode != http.StatusOK {
+		t.Fatalf("once while draining: status %d, want 200", resp.StatusCode)
+	}
+	if !once.Draining || once.Seq <= final.Seq {
+		t.Fatalf("once reply %+v after final stream delta seq %d", once, final.Seq)
+	}
 }

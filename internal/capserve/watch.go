@@ -93,8 +93,3 @@ func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h
 // after the server's own series. Same timing contract as Mount: wire it
 // up before serving starts.
 func (s *Server) AddMetrics(f func(io.Writer)) { s.extraMetrics = append(s.extraMetrics, f) }
-
-// TraceHandler returns the /debug/trace handler as a mountable value,
-// so a side debug listener (cmd/capserve -debug-addr) can serve traces
-// next to pprof without reaching into the server's mux.
-func (s *Server) TraceHandler() http.Handler { return http.HandlerFunc(s.handleTrace) }

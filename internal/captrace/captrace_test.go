@@ -1,11 +1,15 @@
 package captrace
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/ops/fleet"
 )
 
 // stormPayload derives every event field from one generator value, so a
@@ -316,27 +320,42 @@ func BenchmarkRecordDisabled(b *testing.B) {
 	})
 }
 
-// TestDecodeSnapshots covers both /debug/trace wire shapes: the single
-// object a capserve serves and the array a router with in-process
-// backends serves. Readers must not care which topology they hit.
+// TestDecodeSnapshots covers both /debug/trace wire shapes through the
+// handler and the shared fleet decoder: the single object a lone
+// process serves and the array a router with in-process backends
+// serves. Readers must not care which topology they hit.
 func TestDecodeSnapshots(t *testing.T) {
 	tr := New(1, 8)
 	tr.record(1, KReqAdmit, 7, 0, 0, 1)
-	one := tr.Snapshot("solo", 0)
+	tr.record(1, KReqDone, 7, 0, 0, 2)
+	get := func(h http.Handler, target string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+		return w
+	}
 
-	blob, _ := json.Marshal(one)
-	snaps, err := DecodeSnapshots(bytes.NewReader(blob))
-	if err != nil || len(snaps) != 1 || snaps[0].Source != "solo" || len(snaps[0].Events) != 1 {
+	w := get(Handler(Named{"solo", tr}), "/debug/trace")
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" || w.Body.Bytes()[0] != '{' {
+		t.Fatalf("one tracer: content type %q, body %s", ct, w.Body.Bytes())
+	}
+	snaps, err := fleet.Decode[Snapshot](w.Body)
+	if err != nil || len(snaps) != 1 || snaps[0].Source != "solo" || len(snaps[0].Events) != 2 {
 		t.Fatalf("object shape: snaps=%+v err=%v", snaps, err)
 	}
 
-	blob, _ = json.Marshal([]Snapshot{one, tr.Snapshot("twin", 0)})
-	snaps, err = DecodeSnapshots(bytes.NewReader(blob))
-	if err != nil || len(snaps) != 2 || snaps[1].Source != "twin" {
-		t.Fatalf("array shape: snaps=%+v err=%v", snaps, err)
+	w = get(Handler(Named{"solo", tr}, Named{"twin", tr}), "/debug/trace?n=1")
+	snaps, err = fleet.Decode[Snapshot](w.Body)
+	if err != nil || len(snaps) != 2 || snaps[1].Source != "twin" || len(snaps[1].Events) != 1 {
+		t.Fatalf("array shape with n=1: snaps=%+v err=%v", snaps, err)
 	}
 
-	if _, err := DecodeSnapshots(bytes.NewReader([]byte("not json"))); err == nil {
+	if w := get(Handler(Named{"solo", tr}), "/debug/trace?n=bogus"); w.Code != http.StatusBadRequest {
+		t.Fatalf("bad n accepted: %d", w.Code)
+	}
+	if w := get(Handler(Named{"off", nil}), "/debug/trace"); w.Code != http.StatusNotFound {
+		t.Fatalf("nil tracer served %d, want 404", w.Code)
+	}
+	if _, err := fleet.Decode[Snapshot](strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ops/fleet"
 )
 
 // This file is the tracer's read side plus the identity plumbing: the
@@ -210,27 +212,36 @@ func (t *Tracer) Snapshot(source string, n int) Snapshot {
 	return snap
 }
 
-// DecodeSnapshots reads one /debug/trace body: either a single Snapshot
-// object (capserve, a router with no co-process backends) or an array
-// of them (a router merging its spawned backends' rings into one
-// endpoint). Readers shouldn't care which topology produced the bytes,
-// so both shapes decode to the same []Snapshot.
-func DecodeSnapshots(r io.Reader) ([]Snapshot, error) {
-	dec := json.NewDecoder(r)
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return nil, err
-	}
-	if len(raw) > 0 && raw[0] == '[' {
-		var snaps []Snapshot
-		err := json.Unmarshal(raw, &snaps)
-		return snaps, err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, err
-	}
-	return []Snapshot{snap}, nil
+// Named is one process's tracer under the source name its snapshots
+// carry.
+type Named struct {
+	Source string
+	Tracer *Tracer
+}
+
+// Handler serves GET /debug/trace?n= over one process's tracer or, for
+// a router with in-process backends, over several (the router's first):
+// one snapshot per tracer, in the fleet package's object-or-array
+// shape, so one fetch yields every ring the process holds. n > 0 caps
+// each snapshot to its n most recent events. With no tracer on the
+// first entry tracing is off and the endpoint 404s.
+func Handler(ts ...Named) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if ts[0].Tracer == nil {
+			http.Error(w, "tracing disabled (start with -trace)", http.StatusNotFound)
+			return
+		}
+		n := 0
+		if v := req.URL.Query().Get("n"); v != "" {
+			p, err := strconv.Atoi(v)
+			if err != nil || p < 0 {
+				http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
+				return
+			}
+			n = p
+		}
+		fleet.Write(w, ts, func(t Named) Snapshot { return t.Tracer.Snapshot(t.Source, n) })
+	})
 }
 
 // MergeEvents flattens several snapshots (e.g. router + each backend)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/capsule"
+	"repro/internal/ops/fleet"
 )
 
 func newRuntime(t *testing.T, contexts int) *capsule.Runtime {
@@ -234,18 +235,18 @@ func TestHandlerShapes(t *testing.T) {
 	// Two samplers: an array, order preserved.
 	rec = httptest.NewRecorder()
 	Handler(a, b).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
+	reps, err := fleet.Decode[Report](rec.Body)
 	if err != nil {
-		t.Fatalf("DecodeReports: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if len(reps) != 2 || reps[0].Source != "a" || reps[1].Source != "b" {
 		t.Fatalf("merged reports = %+v, want [a b]", reps)
 	}
 
-	// DecodeReports accepts the single-object shape too.
-	single, err := DecodeReports([]byte(`{"source":"x"}`))
+	// The shared decoder accepts the single-object shape too.
+	single, err := fleet.Decode[Report](strings.NewReader(`{"source":"x"}`))
 	if err != nil || len(single) != 1 || single[0].Source != "x" {
-		t.Fatalf("DecodeReports(object) = %v, %v", single, err)
+		t.Fatalf("decode(object) = %v, %v", single, err)
 	}
 
 	// Bad window: 400.
@@ -378,7 +379,7 @@ func TestIncidentsPlumbing(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	Handler(s).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
+	reps, err := fleet.Decode[Report](rec.Body)
 	if err != nil || len(reps) != 1 {
 		t.Fatalf("decode: %v", err)
 	}

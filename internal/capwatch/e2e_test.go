@@ -1,6 +1,7 @@
 package capwatch
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/capcluster"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
+	"repro/internal/ops/fleet"
 )
 
 // TestRouterWatchCoversFleet is the E2E contract the -spawn topology
@@ -116,9 +118,9 @@ func TestRouterWatchCoversFleet(t *testing.T) {
 	// The merged endpoint, as cmd/caprouter mounts it.
 	rec := httptest.NewRecorder()
 	Handler(all...).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/watch?window=1m", nil))
-	reps, err := DecodeReports(rec.Body.Bytes())
+	reps, err := fleet.Decode[Report](rec.Body)
 	if err != nil {
-		t.Fatalf("DecodeReports: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if len(reps) != nBackends+1 {
 		t.Fatalf("router watch returned %d reports, want %d (router + every spawned backend)", len(reps), nBackends+1)
@@ -213,7 +215,7 @@ func TestWatchOnServerMux(t *testing.T) {
 	defer ts.Close()
 
 	body := get(t, ts.URL+"/debug/watch?window=30s")
-	reps, err := DecodeReports(body)
+	reps, err := fleet.Decode[Report](bytes.NewReader(body))
 	if err != nil || len(reps) != 1 {
 		t.Fatalf("watch on server mux: %v, %v", reps, err)
 	}

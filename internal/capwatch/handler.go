@@ -1,19 +1,20 @@
 package capwatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/ops/fleet"
 )
 
-// /debug/watch and the capwatch_* exposition. The handler follows
-// /debug/trace's merge convention exactly: one sampler serves a single
+// /debug/watch and the capwatch_* exposition. The handler follows the
+// fleet package's object-or-array rule: one sampler serves a single
 // Report object; a router that also owns its spawned backends' samplers
 // serves a JSON array, its own report first, so one URL yields the
-// whole fleet's telemetry. DecodeReports reads either shape, so captop
+// whole fleet's telemetry. fleet.Decode reads either shape, so captop
 // and the smoke scripts don't care which they hit.
 
 // Handler serves GET /debug/watch?window= over the given samplers.
@@ -30,45 +31,13 @@ func Handler(samplers ...*Sampler) http.Handler {
 			}
 			window = d
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		if len(samplers) == 1 {
-			enc.Encode(samplers[0].Report(window))
-			return
-		}
-		reps := make([]Report, 0, len(samplers))
-		for _, s := range samplers {
-			reps = append(reps, s.Report(window))
-		}
-		enc.Encode(reps)
+		fleet.Write(w, samplers, func(s *Sampler) Report { return s.Report(window) })
 	})
 }
 
-// DecodeReports parses a /debug/watch response body in either shape —
-// a single Report object or an array — always returning a slice.
-func DecodeReports(data []byte) ([]Report, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("capwatch: empty watch response")
-	}
-	if trimmed[0] == '[' {
-		var reps []Report
-		if err := json.Unmarshal(trimmed, &reps); err != nil {
-			return nil, fmt.Errorf("capwatch: decoding watch array: %w", err)
-		}
-		return reps, nil
-	}
-	var rep Report
-	if err := json.Unmarshal(trimmed, &rep); err != nil {
-		return nil, fmt.Errorf("capwatch: decoding watch report: %w", err)
-	}
-	return []Report{rep}, nil
-}
-
-// EncodeReports is DecodeReports' inverse for tooling output: it always
-// writes the array shape, so captop -json consumers see one schema
-// regardless of whether the polled endpoint was a lone capserve or a
-// fleet-merging router.
+// EncodeReports writes reports for tooling output, always in the array
+// shape, so captop -json consumers see one schema regardless of whether
+// the polled endpoint was a lone capserve or a fleet-merging router.
 func EncodeReports(reps []Report) ([]byte, error) {
 	return json.MarshalIndent(reps, "", "  ")
 }
