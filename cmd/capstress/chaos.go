@@ -26,6 +26,7 @@ import (
 	"repro/internal/capfault"
 	"repro/internal/capserve"
 	"repro/internal/capsule"
+	"repro/internal/capsule/hotpath"
 	"repro/internal/httptune"
 )
 
@@ -44,8 +45,8 @@ type chaosScenario struct {
 	Joins  int `json:"joins,omitempty"`  // churn: backends that (re)joined mid-run
 	Leaves int `json:"leaves,omitempty"` // churn: backends that left mid-run
 
-	Ejections  uint64 `json:"ejections,omitempty"`  // slow: CheckSlow trips on the victim
-	Readmitted bool   `json:"readmitted"`           // slow: victim served again after recovery
+	Ejections  uint64 `json:"ejections,omitempty"` // slow: CheckSlow trips on the victim
+	Readmitted bool   `json:"readmitted"`          // slow: victim served again after recovery
 
 	Deaths        uint64  `json:"deaths,omitempty"`         // partition: attempt-deadline deaths
 	BreakerDenies uint64  `json:"breaker_denies,omitempty"` // partition: fast denies while broken
@@ -57,13 +58,6 @@ type chaosResult struct {
 	Churn     *chaosScenario `json:"churn,omitempty"`
 	Slow      *chaosScenario `json:"slow,omitempty"`
 	Partition *chaosScenario `json:"partition,omitempty"`
-}
-
-// faultOverheadResult is one wrap point's unwrapped/disarmed pair.
-type faultOverheadResult struct {
-	UnwrappedNsPerOp    float64 `json:"unwrapped_ns_per_op"`
-	DisarmedNsPerOp     float64 `json:"disarmed_ns_per_op"`
-	DisarmedOverheadPct float64 `json:"disarmed_overhead_pct"`
 }
 
 // chaosClients drives a router closed-loop with mixed workloads until
@@ -381,14 +375,12 @@ type rtFunc func(*http.Request) (*http.Response, error)
 
 func (f rtFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// faultOverhead measures the disarmed injection layer against its
-// unwrapped twin at both wrap points — the proof that leaving the wraps
-// installed permanently (which is what makes /debug/fault storms against
-// live fleets possible) costs nothing. Same discipline as the
-// trace/watch overhead pairs: round-robin rounds keeping each side's
-// fastest run, so shared-runner drift cancels instead of reading as
-// wrapper cost.
-func faultOverhead() map[string]faultOverheadResult {
+// faultOverhead is the capfault overhead family: the disarmed injection
+// layer against its unwrapped twin at both wrap points, the proof that
+// leaving the wraps installed permanently (which is what makes
+// /debug/fault storms against live fleets possible) costs nothing. It
+// is measured and folded with the hot-path overhead families.
+func faultOverhead() hotpath.Overhead {
 	respBody := []byte(`{"workload":"quicksort","n":64,"checksum":12345}`)
 
 	// Transport twin: a synthetic backend round trip with realistic small
@@ -434,36 +426,15 @@ func faultOverhead() map[string]faultOverheadResult {
 		}
 	}
 
-	cases := []struct {
-		name  string
-		bench func(*testing.B)
-	}{
-		{"transport_unwrapped", benchRT(baseRT)},
-		{"transport_disarmed", benchRT(wrappedRT)},
-		{"handler_unwrapped", benchH(baseH)},
-		{"handler_disarmed", benchH(wrappedH)},
+	return hotpath.Overhead{
+		Family: "fault",
+		States: []string{"unwrapped", "disarmed"},
+		Paths:  []string{"transport", "handler"},
+		Cases: []hotpath.Case{
+			{Name: "fault/transport_unwrapped", Bench: benchRT(baseRT)},
+			{Name: "fault/transport_disarmed", Bench: benchRT(wrappedRT)},
+			{Name: "fault/handler_unwrapped", Bench: benchH(baseH)},
+			{Name: "fault/handler_disarmed", Bench: benchH(wrappedH)},
+		},
 	}
-	best := map[string]float64{}
-	for round := 0; round < 3; round++ {
-		for _, c := range cases {
-			res := testing.Benchmark(c.bench)
-			ns := float64(res.T.Nanoseconds()) / float64(res.N)
-			if prev, ok := best[c.name]; !ok || ns < prev {
-				best[c.name] = ns
-			}
-		}
-	}
-	out := map[string]faultOverheadResult{}
-	for _, point := range []string{"transport", "handler"} {
-		un, dis := best[point+"_unwrapped"], best[point+"_disarmed"]
-		if un <= 0 {
-			continue
-		}
-		out[point] = faultOverheadResult{
-			UnwrappedNsPerOp:    un,
-			DisarmedNsPerOp:     dis,
-			DisarmedOverheadPct: 100 * (dis/un - 1),
-		}
-	}
-	return out
 }

@@ -1,31 +1,33 @@
-// Command capstress measures the capsule runtime's probe/divide hot path
-// and emits a machine-readable BENCH_capsule.json, starting the repo's
-// tracked benchmark trajectory. It runs the internal/capsule/hotpath
-// suite (the live lock-free runtime AND the retained mutex baseline, so
-// every report carries its own before/after), a short Divide storm for
-// the grant rate, and an in-process capserve closed loop for serving
-// throughput. The suite's "trace/..." triples re-measure the captrace
-// budget every run: tracing armed must cost ≤5% on the canonical paths
-// and disabled ~0% (the trace_overhead section, gated in CI). The
-// "watch/..." pairs do the same for the capwatch telemetry sampler —
-// armed at its production tick, budgeted at ≤2% (watch_overhead) — and
-// the "incident/..." pairs hold the capscope flight recorder to the
-// same ceiling on top of an already-armed sampler (incident_overhead).
+// Command capstress measures the capsule runtime's probe/divide hot path,
+// writes the machine-readable BENCH_capsule.json the repo tracks, and
+// gates the fresh report. It runs the internal/capsule/hotpath suite
+// (the live lock-free runtime AND the retained mutex baseline, so every
+// report carries its own before/after), a short Divide storm for the
+// grant rate, and an in-process capserve closed loop for serving
+// throughput. The suite's overhead families, with the capfault wrap
+// pairs, re-measure every ops plane's hot-path cost each run
+// (trace_overhead, watch_overhead, incident_overhead, fault_overhead).
 // The serving measurement runs with a sampler armed, recording its SLO
-// verdict (the slo block) so the burn-rate evaluator's output is part
-// of the tracked trajectory, and the incident block stages an SLO burn
+// verdict (the slo block), and the incident block stages an SLO burn
 // end-to-end and asserts the recorder captured a complete bundle.
 //
 // It also runs a cluster scenario: three in-process capserve backends
 // behind a capcluster router, one killed at halftime — the tracked
 // numbers are the remote grant rate, the local fallback rate, and the
-// zero-failed-requests property under a backend death.
+// zero-failed-requests property under a backend death — plus the chaos
+// and router-chaos storms.
+//
+// The gate (gate.go) then judges the fresh report against a table of
+// named checks. Relative bounds read the baseline: the report at -out
+// before this run overwrote it. capstress writes the report either way
+// and exits 1 listing every failed check; a missing baseline, or a
+// scenario switched off by flag, fails the checks that need it.
 //
 // Usage:
 //
-//	capstress                                  # print the report, write BENCH_capsule.json
-//	capstress -out bench.json -serve=false     # hot path only, custom path
+//	capstress                                  # measure, write and gate BENCH_capsule.json
 //	capstress -serve-duration 5s -serve-n 4000 # longer serving measurement
+//	capstress -out bench.json -serve=false     # hot path only, custom path (gate fails the serve checks)
 //	capstress -cluster=false                   # skip the cluster scenario
 package main
 
@@ -93,35 +95,16 @@ type report struct {
 	// degenerates to one shard by construction.
 	ShardSpeedups map[string]float64 `json:"speedups_vs_single_stack"`
 
-	// TraceOverhead folds the "trace/..." case triples into per-path
-	// captrace budgets: armed is what every request pays with -trace on
-	// (tracer installed, request unsampled — budgeted at ≤5% in CI),
-	// traced is the sampled request's full per-event ring-write cost
-	// (informational: only 1-in-N requests pay it). The off cases are
-	// the disabled state; CI pins them to their atomic twins, the
-	// "disabled ~0%" check.
-	TraceOverhead map[string]traceOverheadResult `json:"trace_overhead,omitempty"`
-
-	// WatchOverhead folds the "watch/..." case pairs into per-path
-	// capwatch budgets: armed is what the hot path pays with the
-	// telemetry sampler ticking at its production interval (budgeted at
-	// ≤2% in CI — the sampler is a pure reader, so the cost is cache
-	// traffic, not contention).
-	WatchOverhead map[string]watchOverheadResult `json:"watch_overhead,omitempty"`
-
-	// IncidentOverhead folds the "incident/..." case pairs into per-path
-	// capscope budgets: both sides run an armed sampler at the
-	// production tick, and armed additionally rides a recorder on the
-	// tick with triggers that never fire — so the pair isolates what
-	// *arming the flight recorder* adds on top of already-on telemetry
-	// (budgeted at ≤2% probe / ≤5% divide in CI).
-	IncidentOverhead map[string]watchOverheadResult `json:"incident_overhead,omitempty"`
-
-	// FaultOverhead is the capfault budget: the disarmed injection layer
-	// (wrapping installed, zero rules) against its unwrapped twin at both
-	// wrap points. CI gates disarmed at noise — the wraps are meant to
-	// stay installed on live fleets.
-	FaultOverhead map[string]faultOverheadResult `json:"fault_overhead,omitempty"`
+	// The overhead sections, one per ops plane, each folded from its
+	// family's cases (measureOverheads, fold): trace_overhead (captrace
+	// off/armed/traced), watch_overhead (capwatch off/armed),
+	// incident_overhead (capscope off/armed, both over an armed sampler)
+	// and fault_overhead (capfault unwrapped/disarmed). gate.go budgets
+	// each one.
+	TraceOverhead    map[string]overheadResult `json:"trace_overhead,omitempty"`
+	WatchOverhead    map[string]overheadResult `json:"watch_overhead,omitempty"`
+	IncidentOverhead map[string]overheadResult `json:"incident_overhead,omitempty"`
+	FaultOverhead    map[string]overheadResult `json:"fault_overhead,omitempty"`
 
 	Storm   *stormResult   `json:"storm,omitempty"`
 	Serve   *serveResult   `json:"serve,omitempty"`
@@ -146,23 +129,10 @@ type report struct {
 	RouterChaos *routerChaosResult `json:"router_chaos,omitempty"`
 }
 
-// traceOverheadResult is one hot path's off/armed/traced comparison.
-type traceOverheadResult struct {
-	OffNsPerOp        float64 `json:"off_ns_per_op"`
-	ArmedNsPerOp      float64 `json:"armed_ns_per_op"`
-	TracedNsPerOp     float64 `json:"traced_ns_per_op"`
-	ArmedOverheadPct  float64 `json:"armed_overhead_pct"`
-	TracedOverheadPct float64 `json:"traced_overhead_pct"`
-}
-
-// watchOverheadResult is one hot path's off/armed sampler comparison
-// (shared by the watch_overhead and incident_overhead sections — both
-// are "what does arming this layer add" pairs).
-type watchOverheadResult struct {
-	OffNsPerOp       float64 `json:"off_ns_per_op"`
-	ArmedNsPerOp     float64 `json:"armed_ns_per_op"`
-	ArmedOverheadPct float64 `json:"armed_overhead_pct"`
-}
+// overheadResult is one path's row of an overhead section:
+// "<state>_ns_per_op" for every state of the family, and
+// "<state>_overhead_pct" for every state but the base.
+type overheadResult map[string]float64
 
 // incidentResult is the staged-burn scenario's tracked outcome: a
 // closed-loop overload against a tiny accept queue sheds hard enough
@@ -252,6 +222,8 @@ func main() {
 	incidentDur := flag.Duration("incident-duration", 2*time.Second, "staged-burn scenario duration")
 	incidentN := flag.Int("incident-n", 30000, "staged-burn scenario request input size (big enough that the closed loop overruns the latency target)")
 	flag.Parse()
+	// The gate's baseline is the report this run replaces.
+	baseline, baselineErr := os.ReadFile(*out)
 
 	start := time.Now()
 	r := report{
@@ -267,44 +239,34 @@ func main() {
 	}
 	fmt.Printf("machine: %s, %d cpus, GOMAXPROCS %d, sweep %v\n", r.CPUModel, r.NumCPU, r.GOMAXPROCS, r.Sweep)
 
-	record := func(name string, res testing.BenchmarkResult) caseResult {
-		cr := caseResult{
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			N:           res.N,
+	overheads := append(hotpath.Overheads(), faultOverhead())
+	isOverhead := map[string]bool{}
+	for _, o := range overheads {
+		for _, c := range o.Cases {
+			isOverhead[c.Name] = true
 		}
-		if prev, ok := r.Results[name]; ok && prev.NsPerOp <= cr.NsPerOp {
-			return prev
-		}
-		r.Results[name] = cr
-		return cr
 	}
-	var overheadCases []hotpath.Case
 	for _, c := range hotpath.Cases() {
-		if strings.HasPrefix(c.Name, "trace/") || strings.HasPrefix(c.Name, "watch/") || strings.HasPrefix(c.Name, "incident/") {
-			overheadCases = append(overheadCases, c)
+		if isOverhead[c.Name] {
 			continue
 		}
-		cr := record(c.Name, testing.Benchmark(c.Bench))
+		cr := benchResult(testing.Benchmark(c.Bench))
+		r.Results[c.Name] = cr
 		fmt.Printf("%-36s %12.1f ns/op %6d allocs/op %6d B/op\n", c.Name, cr.NsPerOp, cr.AllocsPerOp, cr.BytesPerOp)
 	}
-	// The trace_overhead and watch_overhead budgets divide pairs of the
-	// trace/* and watch/* cases at single-digit-percent resolution, so
-	// they are measured round-robin — three rounds over the whole family,
-	// keeping each case's fastest run. Adjacent pairing plus a min
-	// estimate cancels the slow drift of a shared runner, which
-	// back-to-back per-case repeats would fold straight into the ratio
-	// and misread as tracer/sampler cost.
-	for round := 0; round < 3; round++ {
-		for _, c := range overheadCases {
-			record(c.Name, testing.Benchmark(c.Bench))
+	best := measureOverheads(overheads)
+	for _, c := range hotpath.Cases() {
+		if cr, ok := best[c.Name]; ok {
+			r.Results[c.Name] = cr
+			fmt.Printf("%-36s %12.1f ns/op %6d allocs/op %6d B/op\n", c.Name, cr.NsPerOp, cr.AllocsPerOp, cr.BytesPerOp)
 		}
 	}
-	for _, c := range overheadCases {
-		cr := r.Results[c.Name]
-		fmt.Printf("%-36s %12.1f ns/op %6d allocs/op %6d B/op\n", c.Name, cr.NsPerOp, cr.AllocsPerOp, cr.BytesPerOp)
+	sections := map[string]map[string]overheadResult{}
+	for _, o := range overheads {
+		sections[o.Family] = fold(o, best)
 	}
+	r.TraceOverhead, r.WatchOverhead = sections["trace"], sections["watch"]
+	r.IncidentOverhead, r.FaultOverhead = sections["incident"], sections["fault"]
 	for name, atomicRes := range r.Results {
 		path, ok := strings.CutPrefix(name, "atomic/")
 		if !ok || atomicRes.NsPerOp <= 0 {
@@ -316,57 +278,6 @@ func main() {
 		if singleRes, ok := r.Results["atomic1/"+path]; ok {
 			r.ShardSpeedups[path] = singleRes.NsPerOp / atomicRes.NsPerOp
 		}
-	}
-
-	r.TraceOverhead = map[string]traceOverheadResult{}
-	for _, path := range []string{"probe_granted_serial", "probe_granted_parallel_4x", "divide_granted"} {
-		off := r.Results["trace/"+path+"_off"]
-		armed := r.Results["trace/"+path+"_armed"]
-		traced := r.Results["trace/"+path+"_traced"]
-		if off.NsPerOp <= 0 {
-			continue
-		}
-		to := traceOverheadResult{
-			OffNsPerOp:        off.NsPerOp,
-			ArmedNsPerOp:      armed.NsPerOp,
-			TracedNsPerOp:     traced.NsPerOp,
-			ArmedOverheadPct:  100 * (armed.NsPerOp/off.NsPerOp - 1),
-			TracedOverheadPct: 100 * (traced.NsPerOp/off.NsPerOp - 1),
-		}
-		r.TraceOverhead[path] = to
-		fmt.Printf("trace overhead %-28s armed %+6.1f%%  traced %+6.1f%%\n", path, to.ArmedOverheadPct, to.TracedOverheadPct)
-	}
-
-	r.WatchOverhead = map[string]watchOverheadResult{}
-	for _, path := range []string{"probe_granted_serial", "probe_granted_parallel_4x", "divide_granted"} {
-		off := r.Results["watch/"+path+"_off"]
-		armed := r.Results["watch/"+path+"_armed"]
-		if off.NsPerOp <= 0 {
-			continue
-		}
-		wo := watchOverheadResult{
-			OffNsPerOp:       off.NsPerOp,
-			ArmedNsPerOp:     armed.NsPerOp,
-			ArmedOverheadPct: 100 * (armed.NsPerOp/off.NsPerOp - 1),
-		}
-		r.WatchOverhead[path] = wo
-		fmt.Printf("watch overhead %-28s armed %+6.1f%%\n", path, wo.ArmedOverheadPct)
-	}
-
-	r.IncidentOverhead = map[string]watchOverheadResult{}
-	for _, path := range []string{"probe_granted_serial", "probe_granted_parallel_4x", "divide_granted"} {
-		off := r.Results["incident/"+path+"_off"]
-		armed := r.Results["incident/"+path+"_armed"]
-		if off.NsPerOp <= 0 {
-			continue
-		}
-		ov := watchOverheadResult{
-			OffNsPerOp:       off.NsPerOp,
-			ArmedNsPerOp:     armed.NsPerOp,
-			ArmedOverheadPct: 100 * (armed.NsPerOp/off.NsPerOp - 1),
-		}
-		r.IncidentOverhead[path] = ov
-		fmt.Printf("incident overhead %-25s armed %+6.1f%%\n", path, ov.ArmedOverheadPct)
 	}
 
 	r.Storm = divideStorm(*stormDur)
@@ -395,14 +306,6 @@ func main() {
 		r.Cluster = c
 		fmt.Printf("cluster: %d clients x %s over %d backends (one killed at halftime): %.1f req/s, %d requests, %d errors, grant rate %.3f, fallback rate %.3f, %d deaths\n",
 			c.Clients, clusterDur, c.Backends, c.RPS, c.Requests, c.Errors, c.RemoteGrantRate, c.FallbackRate, c.Deaths)
-	}
-
-	r.FaultOverhead = faultOverhead()
-	for _, point := range []string{"transport", "handler"} {
-		if fo, ok := r.FaultOverhead[point]; ok {
-			fmt.Printf("fault overhead %-28s disarmed %+6.1f%% (%.0f vs %.0f ns/op)\n",
-				point, fo.DisarmedOverheadPct, fo.DisarmedNsPerOp, fo.UnwrappedNsPerOp)
-		}
 	}
 
 	if *chaos {
@@ -445,19 +348,73 @@ func main() {
 
 	r.DurationS = time.Since(start).Seconds()
 
-	f, err := os.Create(*out)
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		fail("%v", err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		fail("%v", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(*out, append(data, '\n'), 0o666); err != nil {
 		fail("%v", err)
 	}
 	fmt.Printf("wrote %s (probe_granted_parallel_4x speedup: %.2fx)\n", *out, r.Speedups["probe_granted_parallel_4x"])
+	if failed := gate(os.Stdout, data, baseline, baselineErr); len(failed) > 0 {
+		fail("bench gate: %d check(s) failed", len(failed))
+	}
+}
+
+func benchResult(res testing.BenchmarkResult) caseResult {
+	return caseResult{
+		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+		N:           res.N,
+	}
+}
+
+// measureOverheads runs every overhead family's cases and keeps each
+// case's fastest run. The sections divide pairs of these at
+// single-digit-percent resolution, so they are measured round-robin:
+// three rounds over all the families. Adjacent pairing plus a min
+// estimate cancels the slow drift of a shared runner, which
+// back-to-back per-case repeats would fold straight into the ratio and
+// misread as the plane's cost.
+func measureOverheads(overheads []hotpath.Overhead) map[string]caseResult {
+	best := map[string]caseResult{}
+	for round := 0; round < 3; round++ {
+		for _, o := range overheads {
+			for _, c := range o.Cases {
+				cr := benchResult(testing.Benchmark(c.Bench))
+				if prev, ok := best[c.Name]; !ok || cr.NsPerOp < prev.NsPerOp {
+					best[c.Name] = cr
+				}
+			}
+		}
+	}
+	return best
+}
+
+// fold turns one family's fastest runs into its report section: per
+// path, every state's ns/op and every non-base state's overhead over
+// the base state (States[0]).
+func fold(o hotpath.Overhead, best map[string]caseResult) map[string]overheadResult {
+	out := map[string]overheadResult{}
+	for _, path := range o.Paths {
+		base := best[o.Family+"/"+path+"_"+o.States[0]].NsPerOp
+		if base <= 0 {
+			continue
+		}
+		row := overheadResult{o.States[0] + "_ns_per_op": base}
+		line := fmt.Sprintf("%s overhead %-28s", o.Family, path)
+		for _, st := range o.States[1:] {
+			ns := best[o.Family+"/"+path+"_"+st].NsPerOp
+			pct := 100 * (ns/base - 1)
+			row[st+"_ns_per_op"] = ns
+			row[st+"_overhead_pct"] = pct
+			line += fmt.Sprintf(" %s %+6.1f%%", st, pct)
+		}
+		out[path] = row
+		fmt.Println(line)
+	}
+	return out
 }
 
 // divideStorm hammers a fresh default-sized runtime with Divide offers

@@ -58,10 +58,9 @@ func TestTokenStackStorm(t *testing.T) {
 	}
 }
 
-// TestStatsAccountingInvariant is the probe/outcome tear fix: no snapshot
-// taken during a probe storm may show more probes than outcomes
-// (Probes <= Granted + NoCtxDenies + ThrottleDenies), and the two sides
-// must be equal once the probers quiesce.
+// TestStatsAccountingInvariant pins the probe/outcome accounting: every
+// snapshot taken during a probe storm, and the one taken after the
+// probers quiesce, shows Probes == Granted + NoCtxDenies + ThrottleDenies.
 func TestStatsAccountingInvariant(t *testing.T) {
 	rt := New(Config{Contexts: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
 	stop := make(chan struct{})
@@ -77,7 +76,7 @@ func TestStatsAccountingInvariant(t *testing.T) {
 					return
 				default:
 					s := rt.Stats()
-					if s.Probes > s.Granted+s.NoCtxDenies+s.ThrottleDenies {
+					if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies {
 						violations.Add(1)
 					}
 				}
@@ -99,7 +98,7 @@ func TestStatsAccountingInvariant(t *testing.T) {
 	readers.Wait()
 	rt.Join()
 	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d snapshots showed probes without outcomes", v)
+		t.Fatalf("%d snapshots showed probes and outcomes out of balance", v)
 	}
 	s := rt.Stats()
 	if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies {

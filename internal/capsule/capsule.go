@@ -238,16 +238,9 @@ type Runtime struct {
 
 	// Hot counters, sharded like the pool so Probe on one core never
 	// false-shares a counter line with Release on another; Stats()
-	// aggregates the blocks on read.
-	//
-	// Counter discipline (the Stats no-tear invariant): Probe bumps its
+	// aggregates the blocks on read. Every probe bumps exactly one
 	// outcome counter (localHits / steals / fullSweeps / closedDenies /
-	// throttleDenies) BEFORE probes in the SAME shard block, and Stats
-	// loads every shard's probes before any shard's outcome counters —
-	// so each shard contributes no more probes than outcomes to the
-	// snapshot, and every snapshot satisfies Probes <= Granted +
-	// NoCtxDenies + ThrottleDenies (Granted and NoCtxDenies being
-	// derived sums of those outcomes), with equality at quiescence.
+	// throttleDenies) and nothing else, so Probes is their derived sum.
 	stats []statShard
 
 	// Tracing (nil tracer = off). ctxTrace[id] is the trace ID of the
@@ -413,13 +406,6 @@ func (rt *Runtime) traceThrottleEdge(open bool) {
 // by Spawn or Release; on failure the caller takes its sequential path.
 // Probe never takes a mutex and never allocates (the returned Context is
 // the token's preallocated struct).
-//
-// Counter order matters here: the outcome counter is bumped before the
-// probes counter (and Stats reads them in the opposite order), so a
-// concurrent snapshot can never observe a probe whose outcome is missing
-// — Probes <= Granted + NoCtxDenies + ThrottleDenies holds in every
-// snapshot (absent a concurrent ResetStats, which trades that guarantee
-// away; see its doc).
 func (rt *Runtime) Probe() (*Context, bool) { return rt.probe(0) }
 
 // ProbeTraced is Probe with a trace identity: when tid is nonzero and
@@ -437,7 +423,6 @@ func (rt *Runtime) probe(tid uint64) (*Context, bool) {
 		// "no context" is the refusal Stats reports (NoCtxDenies sums
 		// these with the pool-empty sweeps).
 		st.closedDenies.Add(1)
-		st.probes.Add(1)
 		if tid != 0 {
 			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyClosed, 0)
 		}
@@ -449,7 +434,6 @@ func (rt *Runtime) probe(tid uint64) (*Context, bool) {
 	}
 	if open {
 		st.throttleDenies.Add(1)
-		st.probes.Add(1)
 		if tid != 0 {
 			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyThrottle, 0)
 		}
@@ -458,23 +442,20 @@ func (rt *Runtime) probe(tid uint64) (*Context, bool) {
 	id, steals, ok := rt.pool.popScan(h)
 	if !ok {
 		// fullSweeps IS this path's outcome counter (Stats folds it into
-		// NoCtxDenies), so the empty-pool refusal pays the same two
-		// counter bumps it did before the per-shard breakdown existed.
+		// NoCtxDenies), so the per-shard breakdown costs no extra bump.
 		st.fullSweeps.Add(1)
-		st.probes.Add(1)
 		if tid != 0 {
 			rt.tracer.Record(captrace.KProbeDenied, tid, uint8(h), captrace.DenyNoCtx, 0)
 		}
 		return nil, false
 	}
 	// localHits/steals ARE the grant outcome counters (Granted is their
-	// sum, derived in Stats): the grant path stays at two bumps.
+	// sum, derived in Stats): the grant path pays one bump.
 	if steals == 0 {
 		st.localHits.Add(1)
 	} else {
 		st.steals.Add(1)
 	}
-	st.probes.Add(1)
 	if tid != 0 {
 		rt.tracer.Record(captrace.KProbeGranted, tid, uint8(h), uint16(steals), uint32(id))
 	}
@@ -624,18 +605,11 @@ func mix(x uint64) uint64 {
 }
 
 // Stats snapshots the counters, aggregating the per-shard blocks.
-// Snapshots are tear-free in the accounting direction: every shard's
-// probes counter is loaded before any shard's outcome counters (and
-// Probe bumps its outcome before its probes, both in one shard block),
-// so each shard contributes no more probes than outcomes and Probes <=
-// Granted + NoCtxDenies + ThrottleDenies in every snapshot, with
-// equality once probers quiesce (ResetStats racing live probers is the
-// one documented exception).
+// Probes is derived, not counted: every probe bumps exactly one outcome
+// counter, so Probes == Granted + NoCtxDenies + ThrottleDenies holds in
+// every snapshot and in every Delta between two snapshots.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	for i := range rt.stats {
-		s.Probes += rt.stats[i].probes.Load() // first pass: see the invariant note above
-	}
 	for i := range rt.stats {
 		st := &rt.stats[i]
 		// Granted and the pool-empty denies are derived, not separately
@@ -655,6 +629,7 @@ func (rt *Runtime) Stats() Stats {
 		s.ShardSteals += steals
 		s.ShardFullSweeps += sweeps
 	}
+	s.Probes = s.Granted + s.NoCtxDenies + s.ThrottleDenies
 	s.PeakWorkers = int(rt.peak.Load())
 	return s
 }
@@ -713,16 +688,12 @@ func (rt *Runtime) ReadShardCounters(dst []ShardCounters) int {
 func (rt *Runtime) Tracer() *captrace.Tracer { return rt.tracer }
 
 // ResetStats zeroes the counters (the context pool and death window are
-// left alone: resource state is not statistics). The accounting
-// invariant (Probes <= outcomes) is guaranteed since New or since a
-// ResetStats made at quiescence; a reset racing a mid-flight Probe can
-// strand that one probe's counters on opposite sides of the wipe and
-// leave the totals off by one either way. Concurrent observers should
-// use Stats().Delta snapshots instead of resetting (see Stats.Delta).
+// left alone: resource state is not statistics). Concurrent observers
+// should use Stats().Delta snapshots instead of resetting (see
+// Stats.Delta).
 func (rt *Runtime) ResetStats() {
 	for i := range rt.stats {
 		st := &rt.stats[i]
-		st.probes.Store(0)
 		st.closedDenies.Store(0)
 		st.throttleDenies.Store(0)
 		st.inlineRuns.Store(0)

@@ -51,18 +51,19 @@ var SweepMultipliers = []int{1, 4, 16}
 // shared paths, so any pair divides into a speedup. The "atomic/..."
 // keys are the live runtime's tracked trajectory (stable across PRs for
 // the CI regression gate); "atomic1/..." is the same runtime pinned to
-// the PR-3 single-stack configuration.
+// the PR-3 single-stack configuration. The overhead families follow
+// (see Overheads).
 func Cases() []Case {
 	cases := []Case{
-		{"atomic/probe_granted_serial", atomicProbeGranted(0, 0)},
-		{"atomic1/probe_granted_serial", atomicProbeGranted(0, 1)},
+		{"atomic/probe_granted_serial", probeGranted(0, plane{})},
+		{"atomic1/probe_granted_serial", probeGranted(0, singleStack)},
 		{"mutex/probe_granted_serial", mutexProbeGranted(0)},
 	}
 	for _, m := range SweepMultipliers {
 		suffix := "_parallel_" + strconv.Itoa(m) + "x"
 		cases = append(cases,
-			Case{"atomic/probe_granted" + suffix, atomicProbeGranted(m, 0)},
-			Case{"atomic1/probe_granted" + suffix, atomicProbeGranted(m, 1)},
+			Case{"atomic/probe_granted" + suffix, probeGranted(m, plane{})},
+			Case{"atomic1/probe_granted" + suffix, probeGranted(m, singleStack)},
 			Case{"mutex/probe_granted" + suffix, mutexProbeGranted(m)},
 		)
 	}
@@ -70,45 +71,48 @@ func Cases() []Case {
 		Case{"atomic/probe_refused_serial", atomicProbeRefused(0)},
 		Case{"atomic/probe_refused_parallel_4x", atomicProbeRefused(4)},
 		Case{"atomic/try_divide_refused", atomicTryDivideRefused},
-		Case{"atomic/divide_granted", atomicDivideGranted},
+		Case{"atomic/divide_granted", divideGranted(plane{})},
 		Case{"mutex/probe_refused_serial", mutexProbeRefused(0)},
 		Case{"mutex/probe_refused_parallel_4x", mutexProbeRefused(4)},
 		Case{"mutex/try_divide_refused", mutexTryDivideRefused},
 		Case{"mutex/divide_granted", mutexDivideGranted},
 	)
-	for _, tm := range []struct {
-		suffix string
-		mode   traceMode
-	}{{"_off", traceOff}, {"_armed", traceArmed}, {"_traced", traceTraced}} {
-		cases = append(cases,
-			Case{"trace/probe_granted_serial" + tm.suffix, traceProbeGranted(0, tm.mode)},
-			Case{"trace/probe_granted_parallel_4x" + tm.suffix, traceProbeGranted(4, tm.mode)},
-			Case{"trace/divide_granted" + tm.suffix, traceDivideGranted(tm.mode)},
-		)
-	}
-	for _, armed := range []bool{false, true} {
-		suffix := "_off"
-		if armed {
-			suffix = "_armed"
-		}
-		cases = append(cases,
-			Case{"watch/probe_granted_serial" + suffix, watchProbeGranted(0, armed)},
-			Case{"watch/probe_granted_parallel_4x" + suffix, watchProbeGranted(4, armed)},
-			Case{"watch/divide_granted" + suffix, watchDivideGranted(armed)},
-		)
-	}
-	for _, armed := range []bool{false, true} {
-		suffix := "_off"
-		if armed {
-			suffix = "_armed"
-		}
-		cases = append(cases,
-			Case{"incident/probe_granted_serial" + suffix, incidentProbeGranted(0, armed)},
-			Case{"incident/probe_granted_parallel_4x" + suffix, incidentProbeGranted(4, armed)},
-			Case{"incident/divide_granted" + suffix, incidentDivideGranted(armed)},
-		)
+	for _, o := range Overheads() {
+		cases = append(cases, o.Cases...)
 	}
 	return cases
+}
+
+// An Overhead is one ops plane's overhead family: a case named
+// Family/path_state for every path and state. States[0] is the base
+// state; the report divides every other state's ns/op by it.
+type Overhead struct {
+	Family string
+	States []string
+	Paths  []string
+	Cases  []Case
+}
+
+// overheadPaths are the canonical hot paths every plane is priced on.
+var overheadPaths = []string{"probe_granted_serial", "probe_granted_parallel_4x", "divide_granted"}
+
+// Overheads returns the trace, watch and incident families, one row of
+// the planes table each, with their cases built.
+func Overheads() []Overhead {
+	var out []Overhead
+	for _, f := range planes {
+		o := Overhead{Family: f.family, Paths: overheadPaths}
+		for _, st := range f.states {
+			o.States = append(o.States, st.name)
+			o.Cases = append(o.Cases,
+				Case{f.family + "/probe_granted_serial_" + st.name, probeGranted(0, st.plane)},
+				Case{f.family + "/probe_granted_parallel_4x_" + st.name, probeGranted(4, st.plane)},
+				Case{f.family + "/divide_granted_" + st.name, divideGranted(st.plane)},
+			)
+		}
+		out = append(out, o)
+	}
+	return out
 }
 
 // Find returns the named case for a go test wrapper.
@@ -150,21 +154,53 @@ func divideContexts() int {
 	return n
 }
 
-// ---- atomic: the live lock-free runtime ----
+// ---- atomic: the live lock-free runtime, under each plane ----
 
-// atomicProbeGranted builds the granted-probe case at par×GOMAXPROCS
-// probers (0 = serial) on a pool of one context per prober. shards pins
-// Config.PoolShards: 0 is the live sharded default, 1 reproduces the
-// PR-3 single global stack.
-func atomicProbeGranted(par, shards int) func(b *testing.B) {
+// A plane is the state one ops plane puts the runtime in for a case: a
+// config tweak applied before New, the trace ID the hot path carries,
+// whether divides go through a Group (the serving tiers' divide scope),
+// and a side-car started beside the runtime whose return value is its
+// teardown. The zero plane is the tracked "atomic/..." configuration.
+type plane struct {
+	config func(*capsule.Config)
+	tid    uint64
+	group  bool
+	start  func(b *testing.B, rt *capsule.Runtime) (stop func())
+}
+
+// runtime builds the plane's runtime from cfg and starts its side-car;
+// the returned teardown stops the side-car, then closes the runtime.
+func (p plane) runtime(b *testing.B, cfg capsule.Config) (*capsule.Runtime, func()) {
+	if p.config != nil {
+		p.config(&cfg)
+	}
+	rt := capsule.New(cfg)
+	if p.start == nil {
+		return rt, rt.Close
+	}
+	stop := p.start(b, rt)
+	return rt, func() {
+		stop()
+		rt.Close()
+	}
+}
+
+// singleStack pins Config.PoolShards to 1, the PR-3 single global stack.
+var singleStack = plane{config: func(c *capsule.Config) { c.PoolShards = 1 }}
+
+// probeGranted builds the granted-probe case at par×GOMAXPROCS probers
+// (0 = serial) on a pool of one context per prober. ProbeTraced with
+// trace ID 0 is exactly Probe, so every plane but the traced one
+// measures the identical call.
+func probeGranted(par int, p plane) func(b *testing.B) {
 	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: probers(par), PoolShards: shards, Throttle: true, DeathWindow: benchWindow})
-		defer rt.Close()
+		rt, stop := p.runtime(b, capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow})
+		defer stop()
 		b.ReportAllocs()
 		b.ResetTimer()
 		if par == 0 {
 			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
+				if c, ok := rt.ProbeTraced(p.tid); ok {
 					rt.Release(c)
 				}
 			}
@@ -173,11 +209,43 @@ func atomicProbeGranted(par, shards int) func(b *testing.B) {
 		b.SetParallelism(par)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
+				if c, ok := rt.ProbeTraced(p.tid); ok {
 					rt.Release(c)
 				}
 			}
 		})
+	}
+}
+
+// divideGranted builds the granted fused divide with worker hand-off:
+// rt.TryDivide directly, or through NewGroupTraced for a group plane so
+// a traced divide records its whole event chain (grant, handoff, death).
+// Throttle is off: nop workers die far faster than any real window, and
+// the point here is the grant + hand-off cost, not throttle stalls.
+func divideGranted(p plane) func(b *testing.B) {
+	return func(b *testing.B) {
+		rt, stop := p.runtime(b, capsule.Config{Contexts: divideContexts(), Throttle: false})
+		defer stop()
+		b.ReportAllocs()
+		b.ResetTimer()
+		if p.group {
+			g := rt.NewGroupTraced(p.tid)
+			for i := 0; i < b.N; i++ {
+				for !g.TryDivide(nop) {
+					runtime.Gosched()
+				}
+			}
+			b.StopTimer()
+			g.Join()
+			return
+		}
+		for i := 0; i < b.N; i++ {
+			for !rt.TryDivide(nop) {
+				runtime.Gosched() // let parked workers drain and refill the pool
+			}
+		}
+		b.StopTimer()
+		rt.Join()
 	}
 }
 
@@ -222,22 +290,6 @@ func atomicTryDivideRefused(b *testing.B) {
 	b.StopTimer()
 	rt.Release(hold)
 	rt.Close()
-}
-
-func atomicDivideGranted(b *testing.B) {
-	// Throttle off: nop workers die far faster than any real window, and
-	// the point here is the grant + hand-off cost, not throttle stalls.
-	rt := capsule.New(capsule.Config{Contexts: divideContexts(), Throttle: false})
-	defer rt.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !rt.TryDivide(nop) {
-			runtime.Gosched() // let parked workers drain and refill the pool
-		}
-	}
-	b.StopTimer()
-	rt.Join()
 }
 
 // ---- mutex: the retained pre-rewrite baseline ----
@@ -320,225 +372,104 @@ func mutexDivideGranted(b *testing.B) {
 	p.Join()
 }
 
-// ---- trace: captrace overhead on the canonical hot paths ----
+// ---- the ops planes: one row per overhead family ----
 //
-// Each path is measured in the three states the serving tiers put the
-// runtime in:
+// Each family prices one plane on the canonical paths, in the states
+// the serving tiers put the runtime in; cmd/capstress folds each family
+// into its report section (trace_overhead, watch_overhead,
+// incident_overhead), where CI budgets every state against the base.
 //
-//   - off:    Config.Tracer == nil — tracing disabled, the tracked
-//     "atomic/..." configuration;
-//   - armed:  tracer installed, request unsampled (trace ID 0) — the
-//     state every request is in when -trace is on, since per-request
-//     events are gated on a nonzero ID;
-//   - traced: tracer installed, nonzero trace ID — the sampled
-//     request's full cost: a 32-byte ring write per probe outcome, plus
-//     the handoff and death events for a granted divide.
-//
-// cmd/capstress folds each off/armed/traced triple into the report's
-// trace_overhead section, where CI budgets the armed overhead at ≤5%
-// and pins the off cases to their atomic twins (the disabled ~0%
-// check). All three states share one builder, so the only variable is
-// the tracer/ID wiring under test.
+//   - trace (captrace): off is Config.Tracer == nil; armed installs a
+//     tracer but the request is unsampled (trace ID 0), the state every
+//     request is in when -trace is on, since per-request events are
+//     gated on a nonzero ID; traced is the sampled request's full cost,
+//     a 32-byte ring write per probe outcome plus the handoff and death
+//     events of a granted divide. Divides go through a Group. Budget:
+//     armed ≤5%, and the off cases pinned to their atomic twins (the
+//     disabled ~0% check).
+//   - watch (capwatch): the sampler is a pure reader, so an armed
+//     sampler's only cost to the hot path is the cache traffic of its
+//     once-per-tick sweep. Off carries an inert ticker at the same
+//     period as an experimental control: on a single-P runtime any
+//     pending timer taxes every pass through the scheduler, which the
+//     divide hand-off takes once per op (a bare time.Ticker alone
+//     measures +15% on divide_granted at GOMAXPROCS=1). Every real
+//     deployment already owns such timers, so the pair prices the
+//     sampler's own work. Budget: armed ≤2% on the probe paths, ≤5% on
+//     divide (whose hand-off has a ±3% pair-noise floor).
+//   - incident (capscope): the recorder rides the sampler's tick, so
+//     off is exactly watch armed and the pair isolates what arming the
+//     recorder adds on top of telemetry that is already on. Its
+//     triggers cannot fire here: no deaths (throttle quiescent), no
+//     server, no router. Budget: the watch ceilings.
+var planes = []struct {
+	family string
+	states []planeState
+}{
+	{"trace", []planeState{
+		{"off", plane{group: true}},
+		{"armed", plane{config: withTracer, group: true}},
+		{"traced", plane{config: withTracer, tid: benchTID, group: true}},
+	}},
+	{"watch", []planeState{
+		{"off", plane{start: inertTicker}},
+		{"armed", plane{start: watchSampler}},
+	}},
+	{"incident", []planeState{
+		{"off", plane{start: watchSampler}},
+		{"armed", plane{start: incidentRecorder}},
+	}},
+}
+
+type planeState struct {
+	name  string
+	plane plane
+}
 
 // benchTID is the fixed trace identity the traced cases record under.
 const benchTID = 0x00c0ffee00c0ffee
 
-type traceMode int
+func withTracer(c *capsule.Config) { c.Tracer = captrace.New(0, 0) }
 
-const (
-	traceOff traceMode = iota
-	traceArmed
-	traceTraced
-)
-
-func (m traceMode) tracer() *captrace.Tracer {
-	if m == traceOff {
-		return nil
-	}
-	return captrace.New(0, 0)
-}
-
-func (m traceMode) tid() uint64 {
-	if m == traceTraced {
-		return benchTID
-	}
-	return 0
-}
-
-// traceProbeGranted mirrors atomicProbeGranted (sharded pool, same
-// sizing) through ProbeTraced — which is exactly Probe when the mode's
-// trace ID is 0, so off and armed measure the identical call.
-func traceProbeGranted(par int, m traceMode) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow, Tracer: m.tracer()})
-		defer rt.Close()
-		tid := m.tid()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.ProbeTraced(tid); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.ProbeTraced(tid); ok {
-					rt.Release(c)
-				}
-			}
-		})
-	}
-}
-
-// traceDivideGranted is atomicDivideGranted through a Group (the
-// serving tiers' divide scope), so the traced mode exercises the whole
-// per-division event chain: grant, worker handoff, death.
-func traceDivideGranted(m traceMode) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: divideContexts(), Throttle: false, Tracer: m.tracer()})
-		defer rt.Close()
-		g := rt.NewGroupTraced(m.tid())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for !g.TryDivide(nop) {
-				runtime.Gosched()
+// inertTicker is the watch family's off control: a ticker at the
+// sampler's production period whose ticks nobody acts on.
+func inertTicker(_ *testing.B, _ *capsule.Runtime) func() {
+	t := time.NewTicker(capwatch.DefaultInterval)
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-t.C:
+			case <-done:
+				return
 			}
 		}
-		b.StopTimer()
-		g.Join()
+	}()
+	return func() {
+		t.Stop()
+		close(done)
 	}
 }
 
-// ---- watch: capwatch sampler overhead on the canonical hot paths ----
-//
-// The capwatch sampler is a pure reader: the probe/divide hot paths
-// never touch it, so an armed sampler's only cost to them is the cache
-// traffic of its once-per-tick sweep over the per-shard counters. Each
-// path is measured with an inert 1s ticker (off) and with a sampler
-// armed at the production DefaultInterval tick. The off case carries
-// the ticker as an experimental control: on a single-P runtime, any
-// pending timer taxes every pass through the scheduler — which the
-// divide hand-off takes once per op — and a bare time.Ticker alone
-// measures +15% on divide_granted at GOMAXPROCS=1. Every real
-// deployment already owns such timers (HTTP server deadlines, the
-// breaker windows), so the pair deliberately prices the sampler's own
-// work, not the runtime's timer tax. cmd/capstress folds the pairs
-// into the report's watch_overhead section, where CI budgets the armed
-// overhead at ≤2% on the probe paths (≤5% on divide, whose
-// scheduler-bound hand-off has a ±3% pair-noise floor) and separately
-// pins the off case against the ticker-free atomic twins.
-
-// watchSampler arms a live sampler over rt at the production tick, or —
-// for the off control — an inert ticker at the same period. The
-// returned stop func is the benchmark teardown.
-func watchSampler(rt *capsule.Runtime, armed bool) (stop func()) {
-	if !armed {
-		t := time.NewTicker(capwatch.DefaultInterval)
-		done := make(chan struct{})
-		go func() {
-			for {
-				select {
-				case <-t.C:
-				case <-done:
-					return
-				}
-			}
-		}()
-		return func() {
-			t.Stop()
-			close(done)
-		}
-	}
+func newSampler(rt *capsule.Runtime) *capwatch.Sampler {
 	s, err := capwatch.New(capwatch.Config{Runtime: rt})
 	if err != nil {
 		panic(err)
 	}
+	return s
+}
+
+// watchSampler arms a live sampler over rt at the production tick.
+func watchSampler(_ *testing.B, rt *capsule.Runtime) func() {
+	s := newSampler(rt)
 	s.Start()
 	return s.Stop
 }
 
-// watchProbeGranted mirrors atomicProbeGranted (sharded pool, same
-// sizing) with a capwatch sampler ticking beside it.
-func watchProbeGranted(par int, armed bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow})
-		defer rt.Close()
-		stop := watchSampler(rt, armed)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-		})
-	}
-}
-
-// watchDivideGranted is atomicDivideGranted with a sampler armed.
-func watchDivideGranted(armed bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: divideContexts(), Throttle: false})
-		defer rt.Close()
-		stop := watchSampler(rt, armed)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for !rt.TryDivide(nop) {
-				runtime.Gosched()
-			}
-		}
-		b.StopTimer()
-		rt.Join()
-	}
-}
-
-// ---- incident: capscope recorder overhead on the canonical hot paths ----
-//
-// The capscope recorder never touches the probe/divide hot paths
-// either: disarmed it does not exist to them, and armed its entire
-// cost rides the capwatch sampling tick (one atomic hook load in
-// SampleNow plus a per-tick sweep of counters the writers already
-// maintain). Both states of each twin therefore carry a live sampler
-// at the production tick — the off case is exactly the watch armed
-// case — so the pair isolates what *arming the recorder* adds on top
-// of telemetry that is already on, not the sampler's own cost (that is
-// the watch family's job). The recorder's triggers cannot fire here:
-// no deaths (throttle quiescent), no server (no sheds, empty SLO
-// windows), no router. cmd/capstress folds the pairs into the report's
-// incident_overhead section, where CI budgets the armed overhead at
-// ≤2% on the probe paths and ≤5% on divide, the same ceilings as
-// watch.
-
-// incidentRecorder arms a live sampler over rt and, when armed, an
-// incident recorder riding its tick with triggers that never fire.
-// The returned stop func is the benchmark teardown.
-func incidentRecorder(b *testing.B, rt *capsule.Runtime, armed bool) (stop func()) {
-	s, err := capwatch.New(capwatch.Config{Runtime: rt})
-	if err != nil {
-		panic(err)
-	}
-	if !armed {
-		s.Start()
-		return s.Stop
-	}
+// incidentRecorder arms a live sampler over rt with an incident
+// recorder riding its tick, its triggers unable to fire.
+func incidentRecorder(b *testing.B, rt *capsule.Runtime) func() {
+	s := newSampler(rt)
 	dir, err := os.MkdirTemp("", "capscope-bench-")
 	if err != nil {
 		b.Fatal(err)
@@ -559,54 +490,5 @@ func incidentRecorder(b *testing.B, rt *capsule.Runtime, armed bool) (stop func(
 		s.Stop()
 		rec.Close()
 		os.RemoveAll(dir)
-	}
-}
-
-// incidentProbeGranted mirrors watchProbeGranted(armed) with the
-// recorder armed on top.
-func incidentProbeGranted(par int, armed bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: probers(par), Throttle: true, DeathWindow: benchWindow})
-		defer rt.Close()
-		stop := incidentRecorder(b, rt, armed)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if par == 0 {
-			for i := 0; i < b.N; i++ {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-			return
-		}
-		b.SetParallelism(par)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if c, ok := rt.Probe(); ok {
-					rt.Release(c)
-				}
-			}
-		})
-	}
-}
-
-// incidentDivideGranted is watchDivideGranted(armed) with the recorder
-// armed on top.
-func incidentDivideGranted(armed bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		rt := capsule.New(capsule.Config{Contexts: divideContexts(), Throttle: false})
-		defer rt.Close()
-		stop := incidentRecorder(b, rt, armed)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for !rt.TryDivide(nop) {
-				runtime.Gosched()
-			}
-		}
-		b.StopTimer()
-		rt.Join()
 	}
 }

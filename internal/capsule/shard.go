@@ -193,9 +193,9 @@ func (p *shardedPool) free() int {
 // pool-empty share of NoCtxDenies are derived sums in Stats), so the
 // per-shard breakdown costs the hot path nothing over the plain
 // aggregates. closedDenies is the rare closed-runtime refusal, the only
-// no-context deny that happens without a sweep.
+// no-context deny that happens without a sweep. There is no probes
+// counter: Stats derives Probes as the sum of the outcomes.
 type statHot struct {
-	probes         atomic.Uint64
 	closedDenies   atomic.Uint64
 	throttleDenies atomic.Uint64
 	inlineRuns     atomic.Uint64

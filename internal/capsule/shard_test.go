@@ -171,11 +171,11 @@ func TestRefusalOnlyWhenAllShardsEmpty(t *testing.T) {
 	rt.Release(c2)
 }
 
-// TestShardedStatsInvariantStorm re-asserts the PR-3 snapshot invariant
-// on a runtime forced to multiple stat shards: no snapshot taken during
-// a divide storm may show more probes than outcomes even though both
-// sides are now sums over padded per-shard blocks, and the sides must be
-// equal at quiescence.
+// TestShardedStatsInvariantStorm re-asserts the snapshot invariant on a
+// runtime forced to multiple stat shards: every snapshot taken during a
+// divide storm shows exactly as many probes as outcomes even though both
+// sides are sums over padded per-shard blocks, and so does the one taken
+// at quiescence.
 func TestShardedStatsInvariantStorm(t *testing.T) {
 	rt := New(Config{Contexts: 4, PoolShards: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
 	defer rt.Close()
@@ -192,7 +192,7 @@ func TestShardedStatsInvariantStorm(t *testing.T) {
 					return
 				default:
 					s := rt.Stats()
-					if s.Probes > s.Granted+s.NoCtxDenies+s.ThrottleDenies {
+					if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies {
 						violations.Add(1)
 					}
 				}
@@ -214,7 +214,7 @@ func TestShardedStatsInvariantStorm(t *testing.T) {
 	readers.Wait()
 	rt.Join()
 	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d snapshots showed probes without outcomes", v)
+		t.Fatalf("%d snapshots showed probes and outcomes out of balance", v)
 	}
 	s := rt.Stats()
 	if s.Probes != s.Granted+s.NoCtxDenies+s.ThrottleDenies {

@@ -111,7 +111,7 @@ func TestRingWraparound(t *testing.T) {
 // TestDeltaMonotonicity checks the paper's accounting invariant
 // survives sampling: across any pair of consecutive snapshots taken
 // during a live probe storm, counter deltas are non-negative and
-// Probes ≤ Granted + NoCtxDenies + ThrottleDenies.
+// Probes == Granted + NoCtxDenies + ThrottleDenies.
 func TestDeltaMonotonicity(t *testing.T) {
 	rt := newRuntime(t, 4)
 	s, err := New(Config{Runtime: rt, Ring: minRing})
@@ -145,8 +145,8 @@ func TestDeltaMonotonicity(t *testing.T) {
 	for i := 1; i < len(samples); i++ {
 		d := samples[i].Capsule.Delta(samples[i-1].Capsule)
 		outcomes := d.Granted + d.NoCtxDenies + d.ThrottleDenies
-		if d.Probes > outcomes {
-			t.Fatalf("sample %d: Probes %d > outcomes %d (invariant broken across sampled delta)", i, d.Probes, outcomes)
+		if d.Probes != outcomes {
+			t.Fatalf("sample %d: Probes %d != outcomes %d (invariant broken across sampled delta)", i, d.Probes, outcomes)
 		}
 		// uint64 wraparound would make any of these astronomically large.
 		const sane = uint64(1) << 60

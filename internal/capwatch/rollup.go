@@ -193,9 +193,8 @@ func (s *Sampler) Report(window time.Duration) Report {
 		return float64(delta) / sec
 	}
 
-	// Capsule tier: Stats.Delta keeps the Probes ≤ outcomes invariant
-	// across the subtraction (both snapshots were taken with the
-	// outcome-first ordering Stats documents).
+	// Capsule tier: Probes is derived from the outcome counters, so
+	// Stats.Delta keeps Probes == outcomes across the subtraction.
 	d := to.Capsule.Delta(from.Capsule)
 	rep.Rates.ProbesPerSec = rate(d.Probes)
 	rep.Rates.GrantsPerSec = rate(d.Granted)
