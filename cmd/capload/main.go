@@ -63,6 +63,7 @@ import (
 
 	"repro/internal/captrace"
 	"repro/internal/httptune"
+	"repro/internal/loadgen"
 	"repro/internal/ops/fleet"
 	"repro/internal/profiling"
 	"repro/internal/promtext"
@@ -88,12 +89,6 @@ type options struct {
 	sloAvail    float64
 	jsonOut     bool
 	traceEvery  int
-}
-
-// result is one request's outcome.
-type result struct {
-	code    int // 0 = transport error
-	latency time.Duration
 }
 
 // runResponse is the slice of capserve's response body capload reads.
@@ -184,7 +179,7 @@ func main() {
 		o.targets = []string{o.url}
 	}
 	o.url = o.targets[0]
-	replicas := newReplicaSet(o.targets)
+	replicas := loadgen.NewReplicas(o.targets)
 
 	// net/http's default transport keeps only 2 idle connections per host:
 	// a closed loop at -c 8 re-dials on most requests and measures
@@ -212,61 +207,35 @@ func main() {
 		latency time.Duration
 	}
 	var (
+		tally    loadgen.Tally
 		mu       sync.Mutex
-		results  []result
 		traced   []tracedReq
 		checks   = map[string]uint64{}
 		mismatch int
 	)
-	record := func(r result) {
-		mu.Lock()
-		results = append(results, r)
-		mu.Unlock()
-	}
 	fire := func(i int64) {
 		wl := o.wls[int(i)%len(o.wls)]
 		seed := o.seed + i%o.seeds
 		var tid uint64
+		var header http.Header
 		if o.traceEvery > 0 && i%int64(o.traceEvery) == 0 {
 			tid = captrace.NewID()
+			header = http.Header{}
+			header.Set(captrace.HeaderTraceID, captrace.FormatID(tid))
 		}
-		// Walk the replica set, preferred first: a replica that fails at
-		// the transport costs one attempt and the next one absorbs the
-		// request. The recorded latency spans the whole walk — failover
+		// The recorded latency spans the whole replica walk — failover
 		// is supposed to be invisible in the error column, not in p99.
-		var resp *http.Response
 		start := time.Now()
-		for attempt, ti := range replicas.order() {
-			url := fmt.Sprintf("%s/run/%s?n=%d&seed=%d", replicas.urls[ti], wl, o.n, seed)
-			req, rerr := http.NewRequest(http.MethodGet, url, nil)
-			if rerr != nil {
-				record(result{0, 0})
-				return
-			}
-			if tid != 0 {
-				req.Header.Set(captrace.HeaderTraceID, captrace.FormatID(tid))
-			}
-			var err error
-			resp, err = client.Do(req)
-			if err == nil {
-				replicas.markUp(ti)
-				if attempt > 0 {
-					replicas.failovers.Add(1)
-				}
-				break
-			}
-			replicas.markDown(ti)
-			resp = nil
-		}
+		resp, err := replicas.Do(client, fmt.Sprintf("/run/%s?n=%d&seed=%d", wl, o.n, seed), header)
 		lat := time.Since(start)
-		if resp == nil {
+		if err != nil {
 			// Every replica failed: only now is the request a failure.
-			record(result{0, lat})
+			tally.Record(0, lat)
 			return
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		record(result{resp.StatusCode, lat})
+		tally.Record(resp.StatusCode, lat)
 		if tid != 0 {
 			mu.Lock()
 			traced = append(traced, tracedReq{tid, wl, resp.StatusCode, lat})
@@ -294,7 +263,10 @@ func main() {
 		mode = "open"
 		openLoop(o, deadline, fire)
 	} else {
-		closedLoop(o, deadline, fire)
+		// One request sequence across the workers, so the workload
+		// rotation and seed cycle are the run's, not each worker's.
+		var next atomic.Int64
+		loadgen.Closed(o.c, deadline, func(int, int) { fire(next.Add(1) - 1) })
 	}
 	elapsed := time.Since(start)
 	// Throughput is judged over the load window, not the post-deadline
@@ -315,55 +287,37 @@ func main() {
 	}
 	after, _, aerr := scrapeAny(client, afterTargets)
 
-	// Aggregate.
-	var ok2xx, errs int
-	byCode := map[int]int{}
-	lats := make([]time.Duration, 0, len(results))
-	for _, r := range results {
-		byCode[r.code]++
-		if r.code >= 200 && r.code < 300 {
-			ok2xx++
-			lats = append(lats, r.latency)
-		} else {
-			errs++
-		}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	// Aggregate. Failed requests are the *client's* view (loadgen.Failed):
+	// this is what the chaos gates assert is zero — server metrics can
+	// claim every death was absorbed, but only the client knows.
+	total := tally.Total()
+	byCode := tally.ByCode()
+	ok2xx := tally.Count(loadgen.Success)
+	errs := total - ok2xx
+	lats := tally.Latencies()
 	tput := float64(ok2xx) / window.Seconds()
-
-	// Failed requests from the *client's* view: transport errors (code
-	// 0), 5xx, 499 — anything that is neither a success nor the client's
-	// own 4xx conversation with the API. This is what the chaos gates
-	// assert is zero: server metrics can claim every death was absorbed,
-	// but only the client knows.
-	var failed int
-	for code, n := range byCode {
-		if (code >= 200 && code < 300) || (code >= 400 && code < 500 && code != 499) {
-			continue
-		}
-		failed += n
-	}
+	failed := tally.Count(loadgen.Failed)
 	var failedRate float64
-	if len(results) > 0 {
-		failedRate = float64(failed) / float64(len(results))
+	if total > 0 {
+		failedRate = float64(failed) / float64(total)
 	}
 
 	report := map[string]any{
 		"mode": mode, "url": o.url, "workloads": o.wls, "n": o.n,
-		"duration_s": elapsed.Seconds(), "total": len(results),
+		"duration_s": elapsed.Seconds(), "total": total,
 		"ok_2xx": ok2xx, "errors": errs, "by_code": codeKeys(byCode),
 		"throughput_rps":      tput,
 		"failed":              failed,
 		"failed_rate":         failedRate,
-		"latency_p50_ms":      ms(pct(lats, 0.50)),
-		"latency_p95_ms":      ms(pct(lats, 0.95)),
-		"latency_p99_ms":      ms(pct(lats, 0.99)),
-		"latency_max_ms":      ms(pct(lats, 1)),
+		"latency_p50_ms":      ms(tally.Quantile(0.50)),
+		"latency_p95_ms":      ms(tally.Quantile(0.95)),
+		"latency_p99_ms":      ms(tally.Quantile(0.99)),
+		"latency_max_ms":      ms(tally.Quantile(1)),
 		"checksum_mismatches": mismatch,
 	}
 	if len(o.targets) > 1 {
 		report["targets"] = o.targets
-		report["failovers"] = replicas.failovers.Load()
+		report["failovers"] = replicas.Failovers()
 	}
 	// Counters going backwards mean the server restarted (or a balancer
 	// swapped instances) between scrapes: the pair is unusable, omit the
@@ -428,7 +382,7 @@ func main() {
 				serverErrs += n
 			}
 		}
-		valid := len(results) - clientFaults
+		valid := total - clientFaults
 		availability := 1.0
 		if valid > 0 {
 			availability = 1 - float64(serverErrs)/float64(valid)
@@ -562,13 +516,13 @@ func main() {
 	} else {
 		fmt.Printf("capload: %s loop, %s against %s (workloads %s, n=%d)\n",
 			mode, elapsed.Round(time.Millisecond), o.url, strings.Join(o.wls, ","), o.n)
-		fmt.Printf("requests: total=%d 2xx=%d errors=%d by-code=%v\n", len(results), ok2xx, errs, codeKeys(byCode))
+		fmt.Printf("requests: total=%d 2xx=%d errors=%d by-code=%v\n", total, ok2xx, errs, codeKeys(byCode))
 		if len(o.targets) > 1 {
-			fmt.Printf("targets: %d replicas, failovers=%d\n", len(o.targets), replicas.failovers.Load())
+			fmt.Printf("targets: %d replicas, failovers=%d\n", len(o.targets), replicas.Failovers())
 		}
 		fmt.Printf("throughput: %.1f req/s (2xx)\n", tput)
 		fmt.Printf("latency: p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
-			ms(pct(lats, 0.50)), ms(pct(lats, 0.95)), ms(pct(lats, 0.99)), ms(pct(lats, 1)))
+			ms(tally.Quantile(0.50)), ms(tally.Quantile(0.95)), ms(tally.Quantile(0.99)), ms(tally.Quantile(1)))
 		if p99, ok := report["server_latency_p99_ms"]; ok {
 			fmt.Printf("server latency (histogram delta): p50=%.2fms p95=%.2fms p99=%.2fms\n",
 				report["server_latency_p50_ms"], report["server_latency_p95_ms"], p99)
@@ -633,7 +587,7 @@ func main() {
 	if o.maxErrRate >= 0 && failedRate > o.maxErrRate {
 		flushProfiles()
 		fmt.Fprintf(os.Stderr, "capload: failed-request rate %.4f (%d/%d) above allowed %.4f\n",
-			failedRate, failed, len(results), o.maxErrRate)
+			failedRate, failed, total, o.maxErrRate)
 		os.Exit(2)
 	}
 	if o.maxFallback >= 0 {
@@ -762,27 +716,6 @@ func parseMix(s string) ([]string, error) {
 	return wls, nil
 }
 
-// closedLoop runs o.c workers, each firing back-to-back until deadline.
-func closedLoop(o options, deadline time.Time, fire func(int64)) {
-	var next int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < o.c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				fire(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // openLoop fires requests on a fixed arrival schedule until deadline,
 // with outstanding requests bounded so an unresponsive server cannot
 // balloon goroutines.
@@ -814,64 +747,6 @@ func openLoop(o options, deadline time.Time, fire func(int64)) {
 		i++
 	}
 	wg.Wait()
-}
-
-// replicaSet is capload's health-aware view of a replicated router
-// fleet. Requests start at the preferred replica (the last one that
-// answered); a transport-level failure marks the replica down for a
-// cooldown and the walk moves on, so a kill -9'd router costs each
-// in-flight request at most one bounded extra attempt, and nearly
-// nothing once the preference has moved. Replicas in cooldown are
-// demoted to the end of the walk, not excluded: being wrong about
-// "down" costs one attempt, skipping a live replica could fail the
-// request.
-type replicaSet struct {
-	urls      []string
-	preferred atomic.Int64
-	downUntil []atomic.Int64 // unix nanos; demoted (not excluded) until then
-	failovers atomic.Uint64  // requests that succeeded on a non-first attempt
-}
-
-// replicaCooldown is how long a transport failure demotes a replica.
-// Deliberately short: a router that TERMs gracefully flips /healthz
-// long before it stops answering, and one that dies abruptly keeps
-// refusing instantly — re-probing is cheap either way.
-const replicaCooldown = time.Second
-
-func newReplicaSet(urls []string) *replicaSet {
-	return &replicaSet{urls: urls, downUntil: make([]atomic.Int64, len(urls))}
-}
-
-// order returns the target indexes to try for one request: the
-// preferred replica first, the rest round-robin after it, cooling
-// replicas demoted to the tail.
-func (rs *replicaSet) order() []int {
-	n := len(rs.urls)
-	if n == 1 {
-		return []int{0}
-	}
-	p := int(rs.preferred.Load()) % n
-	now := time.Now().UnixNano()
-	live := make([]int, 0, n)
-	var cooling []int
-	for i := 0; i < n; i++ {
-		t := (p + i) % n
-		if rs.downUntil[t].Load() > now {
-			cooling = append(cooling, t)
-		} else {
-			live = append(live, t)
-		}
-	}
-	return append(live, cooling...)
-}
-
-func (rs *replicaSet) markUp(t int) {
-	rs.downUntil[t].Store(0)
-	rs.preferred.Store(int64(t))
-}
-
-func (rs *replicaSet) markDown(t int) {
-	rs.downUntil[t].Store(time.Now().UnixNano() + replicaCooldown.Nanoseconds())
 }
 
 // scrapeAny pulls /metrics from the first reachable target, reporting
@@ -920,15 +795,6 @@ func delta(before, after map[string]float64, key string) (float64, bool) {
 		return 0, false
 	}
 	return d, true
-}
-
-// pct returns the q-quantile of sorted latencies (q=1 → max).
-func pct(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,22 +24,18 @@ import (
 	"repro/internal/capcluster"
 	"repro/internal/capfault"
 	"repro/internal/capserve"
-	"repro/internal/capsule"
 	"repro/internal/capsule/hotpath"
 	"repro/internal/httptune"
 )
 
-// chaosScenario is one storm's tracked numbers. Requests/Errors are the
+// chaosScenario is one storm's tracked numbers. The load block is the
 // client's view — Errors must be zero for the gated scenarios; the rest
 // are the mechanism's observables (which machinery fired, proving the
 // storm actually stormed).
 type chaosScenario struct {
-	Backends  int     `json:"backends"`
-	Clients   int     `json:"clients"`
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	RPS       float64 `json:"rps"`
-	DurationS float64 `json:"duration_s"`
+	Backends int `json:"backends"`
+	Clients  int `json:"clients"`
+	load
 
 	Joins  int `json:"joins,omitempty"`  // churn: backends that (re)joined mid-run
 	Leaves int `json:"leaves,omitempty"` // churn: backends that left mid-run
@@ -48,9 +43,8 @@ type chaosScenario struct {
 	Ejections  uint64 `json:"ejections,omitempty"` // slow: CheckSlow trips on the victim
 	Readmitted bool   `json:"readmitted"`          // slow: victim served again after recovery
 
-	Deaths        uint64  `json:"deaths,omitempty"`         // partition: attempt-deadline deaths
-	BreakerDenies uint64  `json:"breaker_denies,omitempty"` // partition: fast denies while broken
-	MaxLatencyMS  float64 `json:"max_latency_ms,omitempty"` // worst client-visible latency
+	Deaths        uint64 `json:"deaths,omitempty"`         // partition: attempt-deadline deaths
+	BreakerDenies uint64 `json:"breaker_denies,omitempty"` // partition: fast denies while broken
 }
 
 // chaosResult groups the three storms in BENCH_capsule.json.
@@ -58,104 +52,6 @@ type chaosResult struct {
 	Churn     *chaosScenario `json:"churn,omitempty"`
 	Slow      *chaosScenario `json:"slow,omitempty"`
 	Partition *chaosScenario `json:"partition,omitempty"`
-}
-
-// chaosClients drives a router closed-loop with mixed workloads until
-// the deadline, tallying the client's view. Identical loop shape to
-// clusterLoop, factored for the storms.
-func chaosClients(ts *httptest.Server, clients, n int, d time.Duration) (requests, errors int, maxLat time.Duration, elapsed time.Duration) {
-	wls := []string{"quicksort", "quicksort", "lzw", "dijkstra"}
-	client := httptune.Client(clients, 10*time.Second)
-	var req, errs atomic.Int64
-	var worst atomic.Int64
-	deadline := time.Now().Add(d)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				wl := wls[(c+i)%len(wls)]
-				url := fmt.Sprintf("%s/run/%s?n=%d&seed=%d", ts.URL, wl, n, c*1000+i%64)
-				t0 := time.Now()
-				resp, err := client.Get(url)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat := int64(time.Since(t0))
-				for {
-					w := worst.Load()
-					if lat <= w || worst.CompareAndSwap(w, lat) {
-						break
-					}
-				}
-				if resp.StatusCode == http.StatusOK {
-					req.Add(1)
-				} else {
-					errs.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	return int(req.Load()), int(errs.Load()), time.Duration(worst.Load()), time.Since(start)
-}
-
-// chaosFleet boots nBackends in-process capserve backends (small queues,
-// like clusterLoop: denies are part of the scenario) and a router over
-// them, returning a teardown that drains everything.
-func chaosFleet(nBackends, clients int, cfg capcluster.Config) ([]*capserve.Backend, *capcluster.Router, *httptest.Server, func(), error) {
-	var backends []*capserve.Backend
-	var urls []string
-	for i := 0; i < nBackends; i++ {
-		b, err := capserve.StartBackend(capserve.Config{
-			Runtime:    capsule.New(capsule.Config{Contexts: 2, Throttle: true}),
-			QueueDepth: 4,
-		})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		backends = append(backends, b)
-		urls = append(urls, b.URL)
-	}
-	localRT := capsule.NewDefault()
-	local, err := capserve.New(capserve.Config{Runtime: localRT, QueueDepth: 4 * clients})
-	if err != nil {
-		localRT.Close()
-		return nil, nil, nil, nil, err
-	}
-	cfg.Backends = urls
-	cfg.Local = local
-	router, err := capcluster.New(cfg)
-	if err != nil {
-		localRT.Close()
-		return nil, nil, nil, nil, err
-	}
-	router.Refresh()
-	ts := httptest.NewServer(router)
-	teardown := func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, b := range backends {
-			b.Close(ctx)
-			b.Runtime().Close()
-		}
-		localRT.Close()
-	}
-	return backends, router, ts, teardown, nil
-}
-
-func chaosClientCount() int {
-	clients := 3 * runtime.GOMAXPROCS(0)
-	if clients < 12 {
-		clients = 12
-	}
-	return clients
 }
 
 // churnLoop is the join/leave storm: 4 backends, three of which take
@@ -167,8 +63,8 @@ func chaosClientCount() int {
 // invisible to clients.
 func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 	const nBackends = 4
-	clients := chaosClientCount()
-	backends, router, ts, teardown, err := chaosFleet(nBackends, clients, capcluster.Config{
+	clients := clientCount(3, 12)
+	f, router, url, err := routedFleet(nBackends, clients, capcluster.Config{
 		FailThreshold: 2,
 		FailWindow:    400 * time.Millisecond,
 		Timeout:       5 * time.Second,
@@ -176,7 +72,7 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer teardown()
+	defer f.close()
 
 	var joins, leaves atomic.Int64
 	stop := make(chan struct{})
@@ -188,7 +84,7 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 		// rotate: leave, dwell, rejoin on the same address, dwell.
 		for i := 0; ; i++ {
 			victim := 1 + i%(nBackends-1)
-			b := backends[victim]
+			b := f.backends[victim]
 			addr := strings.TrimPrefix(b.URL, "http://")
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			b.Close(ctx)
@@ -213,7 +109,7 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 					continue
 				}
 			}
-			backends[victim] = nb
+			f.backends[victim] = nb
 			joins.Add(1)
 			// Re-learn the rejoined backend's capacity promptly (the
 			// scrape ticker a live caprouter runs).
@@ -226,13 +122,11 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 		}
 	}()
 
-	req, errs, _, elapsed := chaosClients(ts, clients, n, d)
+	run := storm([]string{url}, mixed, clients, n, d)
 	close(stop)
 	churnWG.Wait()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients,
-		Requests: req, Errors: errs,
-		RPS: float64(req) / elapsed.Seconds(), DurationS: elapsed.Seconds(),
+		Backends: nBackends, Clients: clients, load: run.load(),
 		Joins: int(joins.Load()), Leaves: int(leaves.Load()),
 	}, nil
 }
@@ -244,9 +138,9 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 // re-admit (serve again) after the rule clears.
 func slowLoop(d time.Duration, n int) (*chaosScenario, error) {
 	const nBackends = 3
-	clients := chaosClientCount()
+	clients := clientCount(3, 12)
 	inj := capfault.New(0xC4A05)
-	backends, router, ts, teardown, err := chaosFleet(nBackends, clients, capcluster.Config{
+	f, router, url, err := routedFleet(nBackends, clients, capcluster.Config{
 		Transport:      inj.Transport(httptune.Transport(64)),
 		FailThreshold:  2,
 		FailWindow:     400 * time.Millisecond,
@@ -258,9 +152,9 @@ func slowLoop(d time.Duration, n int) (*chaosScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer teardown()
+	defer f.close()
 	victim := router.Backends()[nBackends-1]
-	victimHost := strings.TrimPrefix(backends[nBackends-1].URL, "http://")
+	victimHost := strings.TrimPrefix(f.urls[nBackends-1], "http://")
 	if _, err := inj.Set(capfault.Rule{
 		Kind:    capfault.KindLatency,
 		Backend: victimHost,
@@ -295,14 +189,12 @@ func slowLoop(d time.Duration, n int) (*chaosScenario, error) {
 	})
 	defer halftime.Stop()
 
-	req, errs, _, elapsed := chaosClients(ts, clients, n, d)
+	run := storm([]string{url}, mixed, clients, n, d)
 	close(stop)
 	tickWG.Wait()
 	st := victim.Stats()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients,
-		Requests: req, Errors: errs,
-		RPS: float64(req) / elapsed.Seconds(), DurationS: elapsed.Seconds(),
+		Backends: nBackends, Clients: clients, load: run.load(),
 		Ejections:  st.Ejections,
 		Readmitted: st.Ejections > 0 && st.Served > servedAtClear.Load(),
 	}, nil
@@ -315,9 +207,9 @@ func slowLoop(d time.Duration, n int) (*chaosScenario, error) {
 // converts repetition into fast denies, and clients never notice.
 func partitionLoop(d time.Duration, n int) (*chaosScenario, error) {
 	const nBackends = 3
-	clients := chaosClientCount()
+	clients := clientCount(3, 12)
 	inj := capfault.New(0xFA017)
-	backends, router, ts, teardown, err := chaosFleet(nBackends, clients, capcluster.Config{
+	f, router, url, err := routedFleet(nBackends, clients, capcluster.Config{
 		Transport:      inj.Transport(httptune.Transport(64)),
 		FailThreshold:  2,
 		FailWindow:     500 * time.Millisecond,
@@ -327,9 +219,9 @@ func partitionLoop(d time.Duration, n int) (*chaosScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer teardown()
+	defer f.close()
 	victim := router.Backends()[0]
-	victimHost := strings.TrimPrefix(backends[0].URL, "http://")
+	victimHost := strings.TrimPrefix(f.urls[0], "http://")
 
 	partition := time.AfterFunc(d/4, func() {
 		inj.Set(capfault.Rule{
@@ -340,15 +232,12 @@ func partitionLoop(d time.Duration, n int) (*chaosScenario, error) {
 	})
 	defer partition.Stop()
 
-	req, errs, maxLat, elapsed := chaosClients(ts, clients, n, d)
+	run := storm([]string{url}, mixed, clients, n, d)
 	st := victim.Stats()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients,
-		Requests: req, Errors: errs,
-		RPS: float64(req) / elapsed.Seconds(), DurationS: elapsed.Seconds(),
+		Backends: nBackends, Clients: clients, load: run.load(),
 		Deaths:        st.Deaths,
 		BreakerDenies: st.BreakerDenies,
-		MaxLatencyMS:  float64(maxLat.Nanoseconds()) / 1e6,
 		Readmitted:    !victim.Broken(),
 	}, nil
 }

@@ -32,11 +32,9 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,7 +53,6 @@ import (
 	"repro/internal/capsule/hotpath"
 	"repro/internal/captrace"
 	"repro/internal/capwatch"
-	"repro/internal/httptune"
 )
 
 // caseResult is one benchmark's outcome.
@@ -81,19 +78,11 @@ type report struct {
 	DurationS float64 `json:"duration_s"`
 
 	// Results by hotpath case name ("atomic/..." is the live sharded
-	// lock-free runtime, "atomic1/..." the same runtime pinned to one
-	// pool shard — the PR-3 configuration — and "mutex/..." the
-	// pre-rewrite baseline).
+	// lock-free runtime, "mutex/..." the pre-rewrite baseline).
 	Results map[string]caseResult `json:"results"`
 
 	// Speedups divide mutex ns/op by atomic ns/op for each shared path.
 	Speedups map[string]float64 `json:"speedups"`
-
-	// ShardSpeedups divide single-stack (atomic1) ns/op by sharded
-	// (atomic) ns/op: what per-P sharding itself buys on top of
-	// lock-freedom. ~1.0 on a single-core runner, where the sharded pool
-	// degenerates to one shard by construction.
-	ShardSpeedups map[string]float64 `json:"speedups_vs_single_stack"`
 
 	// The overhead sections, one per ops plane, each folded from its
 	// family's cases (measureOverheads, fold): trace_overhead (captrace
@@ -146,9 +135,14 @@ type incidentResult struct {
 	SlowBurn  float64  `json:"slow_burn"`
 	CooldownS float64  `json:"cooldown_s"`
 	Files     []string `json:"files"`
-	Requests  int      `json:"requests"`
-	Sheds     int      `json:"sheds"`
-	DurationS float64  `json:"duration_s"`
+
+	// The client's view: 200s served, other statuses shed (transport
+	// errors are not counted), and the 200s' tail latency.
+	Requests     int     `json:"requests"`
+	Sheds        int     `json:"sheds"`
+	DurationS    float64 `json:"duration_s"`
+	P99LatencyMS float64 `json:"p99_latency_ms"`
+	MaxLatencyMS float64 `json:"max_latency_ms"`
 }
 
 type stormResult struct {
@@ -161,13 +155,10 @@ type stormResult struct {
 }
 
 type serveResult struct {
-	Workload  string  `json:"workload"`
-	N         int     `json:"n"`
-	Clients   int     `json:"clients"`
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	RPS       float64 `json:"rps"`
-	DurationS float64 `json:"duration_s"`
+	Workload string `json:"workload"`
+	N        int    `json:"n"`
+	Clients  int    `json:"clients"`
+	load
 
 	// SLO is the armed capwatch sampler's burn-rate verdict over the
 	// serving run, so the evaluator's output is itself a tracked number.
@@ -189,12 +180,10 @@ type sloBlock struct {
 // clusterResult is the cluster scenario's tracked numbers: probe/divide
 // across processes, with one backend killed at halftime.
 type clusterResult struct {
-	Backends        int     `json:"backends"`
-	Clients         int     `json:"clients"`
-	N               int     `json:"n"`
-	Requests        int     `json:"requests"`
-	Errors          int     `json:"errors"`
-	RPS             float64 `json:"rps"`
+	Backends int `json:"backends"`
+	Clients  int `json:"clients"`
+	N        int `json:"n"`
+	load
 	RemoteProbes    uint64  `json:"remote_probes"`
 	RemoteGrants    uint64  `json:"remote_grants"`
 	RemoteGrantRate float64 `json:"remote_grant_rate"`
@@ -202,7 +191,6 @@ type clusterResult struct {
 	FallbackRate    float64 `json:"fallback_rate"`
 	Deaths          uint64  `json:"deaths"`
 	BreakerDenies   uint64  `json:"breaker_denies"`
-	DurationS       float64 `json:"duration_s"`
 }
 
 func main() {
@@ -227,15 +215,14 @@ func main() {
 
 	start := time.Now()
 	r := report{
-		GeneratedBy:   "cmd/capstress",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		CPUModel:      cpuModel(),
-		NumCPU:        runtime.NumCPU(),
-		Sweep:         hotpath.SweepMultipliers,
-		Results:       map[string]caseResult{},
-		Speedups:      map[string]float64{},
-		ShardSpeedups: map[string]float64{},
+		GeneratedBy: "cmd/capstress",
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
+		NumCPU:      runtime.NumCPU(),
+		Sweep:       hotpath.SweepMultipliers,
+		Results:     map[string]caseResult{},
+		Speedups:    map[string]float64{},
 	}
 	fmt.Printf("machine: %s, %d cpus, GOMAXPROCS %d, sweep %v\n", r.CPUModel, r.NumCPU, r.GOMAXPROCS, r.Sweep)
 
@@ -274,9 +261,6 @@ func main() {
 		}
 		if mutexRes, ok := r.Results["mutex/"+path]; ok {
 			r.Speedups[path] = mutexRes.NsPerOp / atomicRes.NsPerOp
-		}
-		if singleRes, ok := r.Results["atomic1/"+path]; ok {
-			r.ShardSpeedups[path] = singleRes.NsPerOp / atomicRes.NsPerOp
 		}
 	}
 
@@ -479,49 +463,16 @@ func serveLoop(d time.Duration, n int) (*serveResult, error) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	clients := 2 * runtime.GOMAXPROCS(0)
-	if clients < 8 {
-		clients = 8
-	}
-	client := httptune.Client(clients, 10*time.Second)
-	var requests, errors atomic.Int64
-	deadline := time.Now().Add(d)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				url := fmt.Sprintf("%s/run/quicksort?n=%d&seed=%d", ts.URL, n, c*1000+i%64)
-				resp, err := client.Get(url)
-				if err != nil {
-					errors.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					requests.Add(1)
-				} else {
-					errors.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	clients := clientCount(2, 8)
+	run := storm([]string{ts.URL}, []string{"quicksort"}, clients, n, d)
 	rt.Join()
 	sampler.SampleNow() // closing tick: the SLO window must include the run's tail
 	slo := sampler.Report(0).SLO
 	return &serveResult{
-		Workload:  "quicksort",
-		N:         n,
-		Clients:   clients,
-		Requests:  int(requests.Load()),
-		Errors:    int(errors.Load()),
-		RPS:       float64(requests.Load()) / elapsed.Seconds(),
-		DurationS: elapsed.Seconds(),
+		Workload: "quicksort",
+		N:        n,
+		Clients:  clients,
+		load:     run.load(),
 		SLO: &sloBlock{
 			TargetP99MS:    slo.TargetP99MS,
 			Objective:      slo.Availability,
@@ -542,47 +493,8 @@ func serveLoop(d time.Duration, n int) (*serveResult, error) {
 // zero failed client requests across the kill.
 func clusterLoop(d time.Duration, n int) (*clusterResult, error) {
 	const nBackends = 3
-	var backends []*capserve.Backend
-	var urls []string
-	for i := 0; i < nBackends; i++ {
-		// Small queues on purpose: credit denies (and so local fallbacks)
-		// are part of what this scenario measures.
-		b, err := capserve.StartBackend(capserve.Config{
-			Runtime:    capsule.New(capsule.Config{Contexts: 2, Throttle: true}),
-			QueueDepth: 4,
-		})
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, b)
-		urls = append(urls, b.URL)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, b := range backends {
-			b.Close(ctx)
-			b.Runtime().Close()
-		}
-	}()
-
-	clients := 3 * runtime.GOMAXPROCS(0)
-	if clients < 12 {
-		clients = 12
-	}
-	localRT := capsule.NewDefault()
-	defer localRT.Close()
-	// The local queue must absorb a correlated fallback burst (right
-	// after the kill, every client can degrade at once): size it to the
-	// client count, or the zero-errors property would break on machines
-	// with enough cores for clients to outnumber a fixed queue.
-	local, err := capserve.New(capserve.Config{Runtime: localRT, QueueDepth: 4 * clients})
-	if err != nil {
-		return nil, err
-	}
-	router, err := capcluster.New(capcluster.Config{
-		Backends:      urls,
-		Local:         local,
+	clients := clientCount(3, 12)
+	f, router, url, err := routedFleet(nBackends, clients, capcluster.Config{
 		FailThreshold: 2,
 		FailWindow:    30 * time.Second, // the victim stays broken for the run
 		Timeout:       5 * time.Second,
@@ -590,50 +502,16 @@ func clusterLoop(d time.Duration, n int) (*clusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	router.Refresh()
-	ts := httptest.NewServer(router)
-	defer ts.Close()
-
-	wls := []string{"quicksort", "quicksort", "lzw", "dijkstra"}
-	client := httptune.Client(clients, 10*time.Second)
-	var requests, errors atomic.Int64
-	deadline := time.Now().Add(d)
-	halftime := time.AfterFunc(d/2, func() { backends[nBackends-1].Kill() })
+	defer f.close()
+	halftime := time.AfterFunc(d/2, func() { f.backends[nBackends-1].Kill() })
 	defer halftime.Stop()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				wl := wls[(c+i)%len(wls)]
-				url := fmt.Sprintf("%s/run/%s?n=%d&seed=%d", ts.URL, wl, n, c*1000+i%64)
-				resp, err := client.Get(url)
-				if err != nil {
-					errors.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					requests.Add(1)
-				} else {
-					errors.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	run := storm([]string{url}, mixed, clients, n, d)
 	s := router.Stats()
 	return &clusterResult{
 		Backends:        nBackends,
 		Clients:         clients,
 		N:               n,
-		Requests:        int(requests.Load()),
-		Errors:          int(errors.Load()),
-		RPS:             float64(requests.Load()) / elapsed.Seconds(),
+		load:            run.load(),
 		RemoteProbes:    s.RemoteProbes,
 		RemoteGrants:    s.RemoteGrants,
 		RemoteGrantRate: s.RemoteGrantRate(),
@@ -641,7 +519,6 @@ func clusterLoop(d time.Duration, n int) (*clusterResult, error) {
 		FallbackRate:    s.FallbackRate(),
 		Deaths:          s.Deaths,
 		BreakerDenies:   s.BreakerDenies,
-		DurationS:       elapsed.Seconds(),
 	}, nil
 }
 
@@ -707,48 +584,20 @@ func incidentLoop(d time.Duration, n int) (*incidentResult, error) {
 	sampler.Start()
 	ts := httptest.NewServer(inj.Handler("capstress-incident", srv))
 
-	clients := 2 * runtime.GOMAXPROCS(0)
-	if clients < 16 {
-		clients = 16
-	}
-	client := httptune.Client(clients, 10*time.Second)
-	var requests, sheds atomic.Int64
-	deadline := time.Now().Add(d)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				url := fmt.Sprintf("%s/run/quicksort?n=%d&seed=%d", ts.URL, n, c*1000+i%64)
-				resp, err := client.Get(url)
-				if err != nil {
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					requests.Add(1)
-				} else {
-					sheds.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	run := storm([]string{ts.URL}, []string{"quicksort"}, clientCount(2, 16), n, d)
+	served := run.served()
+	sheds := run.tally.Count(func(code int) bool { return code != 0 && code != http.StatusOK })
 	rt.Join()
 	sampler.SampleNow() // closing tick: one last trigger evaluation over the tail
 	ts.Close()
 	sampler.Stop()
 	rec.Close() // waits for the in-flight capture to land
 
-	ms := capscope.LoadManifests(dir)
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("staged burn produced no incident bundle (%d ok / %d shed)", requests.Load(), sheds.Load())
+	manifests := capscope.LoadManifests(dir)
+	if len(manifests) == 0 {
+		return nil, fmt.Errorf("staged burn produced no incident bundle (%d ok / %d shed)", served, sheds)
 	}
-	newest := ms[len(ms)-1]
+	newest := manifests[len(manifests)-1]
 	for _, want := range []string{capscope.FileWatch, capscope.FileTrace, capscope.FileHeap} {
 		found := false
 		for _, f := range newest.Files {
@@ -761,16 +610,18 @@ func incidentLoop(d time.Duration, n int) (*incidentResult, error) {
 		}
 	}
 	return &incidentResult{
-		Bundles:   len(ms),
-		Trigger:   newest.Trigger,
-		Reason:    newest.Reason,
-		FastBurn:  newest.SLO.Fast.Burn,
-		SlowBurn:  newest.SLO.Slow.Burn,
-		CooldownS: newest.CooldownS,
-		Files:     newest.Files,
-		Requests:  int(requests.Load()),
-		Sheds:     int(sheds.Load()),
-		DurationS: elapsed.Seconds(),
+		Bundles:      len(manifests),
+		Trigger:      newest.Trigger,
+		Reason:       newest.Reason,
+		FastBurn:     newest.SLO.Fast.Burn,
+		SlowBurn:     newest.SLO.Slow.Burn,
+		CooldownS:    newest.CooldownS,
+		Files:        newest.Files,
+		Requests:     served,
+		Sheds:        sheds,
+		DurationS:    run.elapsed.Seconds(),
+		P99LatencyMS: ms(run.tally.Quantile(0.99)),
+		MaxLatencyMS: ms(run.tally.Quantile(1)),
 	}, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -24,23 +23,18 @@ import (
 
 	"repro/internal/capcluster"
 	"repro/internal/capfault"
-	"repro/internal/capserve"
-	"repro/internal/capsule"
 	"repro/internal/httptune"
 )
 
 // routerChaosScenario is one router-plane storm's tracked numbers.
-// Requests/Errors are the client's view — Errors must be zero; the rest
+// The load block is the client's view — Errors must be zero; the rest
 // prove the storm stormed (a replica actually died, the feed actually
 // carried and was actually cut).
 type routerChaosScenario struct {
-	Replicas  int     `json:"replicas,omitempty"`
-	Backends  int     `json:"backends"`
-	Clients   int     `json:"clients"`
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	RPS       float64 `json:"rps"`
-	DurationS float64 `json:"duration_s"`
+	Replicas int `json:"replicas,omitempty"`
+	Backends int `json:"backends"`
+	Clients  int `json:"clients"`
+	load
 
 	Failovers        int `json:"failovers,omitempty"`         // kill: successes on a non-preferred replica
 	PlacementChecked int `json:"placement_checked,omitempty"` // kill: keys routed remotely via both replicas
@@ -58,148 +52,38 @@ type routerChaosResult struct {
 	FeedPartition *routerChaosScenario `json:"feed_partition,omitempty"`
 }
 
-// startReplica builds one full caprouter replica — its own local tier,
-// its own gauges and breakers, rendezvous placement so it agrees with
-// its siblings — and serves it on a plain net/http server (not
-// httptest) so killing it can be abrupt: http.Server.Close tears down
-// the listener and every live connection without draining, which is as
-// close to kill -9 as one process gets.
-func startReplica(urls []string, clients int, cfg capcluster.Config) (*capcluster.Router, *http.Server, string, func(), error) {
-	localRT := capsule.NewDefault()
-	local, err := capserve.New(capserve.Config{Runtime: localRT, QueueDepth: 4 * clients})
-	if err != nil {
-		localRT.Close()
-		return nil, nil, "", nil, err
-	}
-	place, err := capcluster.NewPlacement("rendezvous")
-	if err != nil {
-		localRT.Close()
-		return nil, nil, "", nil, err
-	}
-	cfg.Backends = urls
-	cfg.Local = local
-	cfg.Placement = place
-	router, err := capcluster.New(cfg)
-	if err != nil {
-		localRT.Close()
-		return nil, nil, "", nil, err
-	}
-	router.Refresh()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		localRT.Close()
-		return nil, nil, "", nil, err
-	}
-	srv := &http.Server{Handler: router}
-	go srv.Serve(ln)
-	cleanup := func() {
-		srv.Close()
-		localRT.Close()
-	}
-	return router, srv, "http://" + ln.Addr().String(), cleanup, nil
-}
-
-// failoverClients drives a -targets walk closed-loop: each request
-// starts at the shared preferred replica and falls through the rest on
-// transport error; only the whole walk failing (or a bad status) counts
-// as a client-visible error. Mirrors capload's replicaSet, inlined so
-// the storm measures the walk itself.
-func failoverClients(targets []string, clients, n int, d time.Duration) (requests, errors, failovers int, elapsed time.Duration) {
-	wls := []string{"quicksort", "quicksort", "lzw", "dijkstra"}
-	client := httptune.Client(clients, 10*time.Second)
-	var req, errs, fails atomic.Int64
-	var preferred atomic.Int64
-	deadline := time.Now().Add(d)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				wl := wls[(c+i)%len(wls)]
-				path := fmt.Sprintf("/run/%s?n=%d&seed=%d", wl, n, c*1000+i%64)
-				var resp *http.Response
-				p := int(preferred.Load())
-				for a := 0; a < len(targets); a++ {
-					ti := (p + a) % len(targets)
-					r, err := client.Get(targets[ti] + path)
-					if err != nil {
-						continue
-					}
-					resp = r
-					if a > 0 {
-						preferred.Store(int64(ti))
-						fails.Add(1)
-					}
-					break
-				}
-				if resp == nil {
-					errs.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					req.Add(1)
-				} else {
-					errs.Add(1)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	return int(req.Load()), int(errs.Load()), int(fails.Load()), time.Since(start)
-}
-
 // replicaKillLoop is the router-SPOF storm: two full caprouter replicas
 // front the same three backends, both subscribed to the credit feeds,
 // clients walk both via failover — and at halftime one replica is
-// killed without drain. First, placement agreement is checked cold:
+// killed without drain. The clients are capload's: the replica walk
+// with its cooldown demotion. First, placement agreement is checked cold:
 // the same key routed through either replica must name the same
 // backend, the property that makes "retry on the other replica" safe
 // for cache locality and makes the fleet coordination-free.
 func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	const nBackends = 3
 	const nReplicas = 2
-	clients := chaosClientCount()
-
-	var backends []*capserve.Backend
-	var urls []string
-	for i := 0; i < nBackends; i++ {
-		b, err := capserve.StartBackend(capserve.Config{
-			Runtime:    capsule.New(capsule.Config{Contexts: 2, Throttle: true}),
-			QueueDepth: 4,
-		})
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, b)
-		urls = append(urls, b.URL)
+	clients := clientCount(3, 12)
+	f, err := startFleet(nBackends, 0)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, b := range backends {
-			b.Close(ctx)
-			b.Runtime().Close()
-		}
-	}()
-
+	defer f.close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var servers []*http.Server
 	var targets []string
 	for r := 0; r < nReplicas; r++ {
-		router, srv, url, cleanup, err := startReplica(urls, clients, capcluster.Config{
+		// Rendezvous placement, so every replica agrees with its siblings.
+		router, srv, url, err := f.router(clients, capcluster.Config{
 			FailThreshold: 2,
 			FailWindow:    400 * time.Millisecond,
 			Timeout:       5 * time.Second,
+			Placement:     capcluster.Rendezvous{},
 		})
 		if err != nil {
 			return nil, err
 		}
-		defer cleanup()
 		router.StartFeeds(ctx)
 		servers = append(servers, srv)
 		targets = append(targets, url)
@@ -243,12 +127,10 @@ func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	kill := time.AfterFunc(d/2, func() { servers[0].Close() })
 	defer kill.Stop()
 
-	req, errs, failovers, elapsed := failoverClients(targets, clients, n, d)
+	run := storm(targets, mixed, clients, n, d)
 	return &routerChaosScenario{
-		Replicas: nReplicas, Backends: nBackends, Clients: clients,
-		Requests: req, Errors: errs,
-		RPS: float64(req) / elapsed.Seconds(), DurationS: elapsed.Seconds(),
-		Failovers:        failovers,
+		Replicas: nReplicas, Backends: nBackends, Clients: clients, load: run.load(),
+		Failovers:        int(run.failovers),
 		PlacementChecked: checked,
 		PlacementAgreed:  agreed,
 	}, nil
@@ -264,44 +146,25 @@ func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 // gauges stay fresh (zero stale decays) and no client request fails.
 func feedPartitionLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	const nBackends = 3
-	clients := chaosClientCount()
+	clients := clientCount(3, 12)
 	inj := capfault.New(0xFEEDC)
-
-	var backends []*capserve.Backend
-	var urls []string
-	for i := 0; i < nBackends; i++ {
-		b, err := capserve.StartBackend(capserve.Config{
-			Runtime:       capsule.New(capsule.Config{Contexts: 2, Throttle: true}),
-			QueueDepth:    4,
-			FeedHeartbeat: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, b)
-		urls = append(urls, b.URL)
+	f, err := startFleet(nBackends, 50*time.Millisecond)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, b := range backends {
-			b.Close(ctx)
-			b.Runtime().Close()
-		}
-	}()
-
-	router, _, target, cleanup, err := startReplica(urls, clients, capcluster.Config{
+	defer f.close()
+	router, _, target, err := f.router(clients, capcluster.Config{
 		FailThreshold: 2,
 		FailWindow:    400 * time.Millisecond,
 		Timeout:       5 * time.Second,
 		StaleTTL:      300 * time.Millisecond,
 		FeedBackoff:   50 * time.Millisecond,
 		FeedTransport: inj.FeedTransport(httptune.Transport(8)),
+		Placement:     capcluster.Rendezvous{},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	router.StartFeeds(ctx)
@@ -336,7 +199,7 @@ func feedPartitionLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	})
 	defer cut.Stop()
 
-	req, errs, _, elapsed := failoverClients([]string{target}, clients, n, d)
+	run := storm([]string{target}, mixed, clients, n, d)
 	close(stop)
 	tickWG.Wait()
 
@@ -347,9 +210,7 @@ func feedPartitionLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 		decays += st.StaleDecays
 	}
 	return &routerChaosScenario{
-		Backends: nBackends, Clients: clients,
-		Requests: req, Errors: errs,
-		RPS: float64(req) / elapsed.Seconds(), DurationS: elapsed.Seconds(),
+		Backends: nBackends, Clients: clients, load: run.load(),
 		RefreshSkippedPre: preCut.Load(),
 		RefreshSkipped:    router.RefreshSkipped(),
 		FeedDeltas:        deltas,

@@ -173,10 +173,10 @@ func (r Rule) Validate() error {
 // counter.
 type armedRule struct {
 	Rule
-	id       uint64
-	untilNS  int64         // 0 = no expiry
-	decided  atomic.Uint64 // decision index allocator
-	fired    atomic.Uint64 // decisions where the rule actually fired
+	id      uint64
+	untilNS int64         // 0 = no expiry
+	decided atomic.Uint64 // decision index allocator
+	fired   atomic.Uint64 // decisions where the rule actually fired
 }
 
 // Injector owns a rule set and mints wrapped transports and handlers

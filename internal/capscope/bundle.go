@@ -289,14 +289,14 @@ func LoadManifest(bundleDir string) (Manifest, error) {
 // GET /debug/incident?id= serves. Profiles ride as base64 ([]byte's
 // encoding/json default); JSON artifacts ride raw.
 type Bundle struct {
-	Manifest   Manifest        `json:"manifest"`
-	Watch      json.RawMessage `json:"watch,omitempty"`
-	Trace      json.RawMessage `json:"trace,omitempty"`
-	Fault      json.RawMessage `json:"fault,omitempty"`
-	Backends   json.RawMessage `json:"backends,omitempty"`
-	CPUProfile []byte          `json:"cpu_pprof,omitempty"`
-	HeapProfile []byte         `json:"heap_pprof,omitempty"`
-	Goroutines string          `json:"goroutines,omitempty"`
+	Manifest    Manifest        `json:"manifest"`
+	Watch       json.RawMessage `json:"watch,omitempty"`
+	Trace       json.RawMessage `json:"trace,omitempty"`
+	Fault       json.RawMessage `json:"fault,omitempty"`
+	Backends    json.RawMessage `json:"backends,omitempty"`
+	CPUProfile  []byte          `json:"cpu_pprof,omitempty"`
+	HeapProfile []byte          `json:"heap_pprof,omitempty"`
+	Goroutines  string          `json:"goroutines,omitempty"`
 }
 
 // LoadBundle reads one bundle dir in full.

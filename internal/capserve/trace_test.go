@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/capsule"
@@ -169,7 +170,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // TestShardSeriesPromtextRoundTrip: the capsule_shard_* series parse
 // back through promtext and agree with the runtime's own accounting.
 func TestShardSeriesPromtextRoundTrip(t *testing.T) {
-	rt := capsule.New(capsule.Config{Contexts: 4, PoolShards: 2})
+	// Two pool shards: the count is min(GOMAXPROCS, Contexts) at New.
+	prev := runtime.GOMAXPROCS(2)
+	rt := capsule.New(capsule.Config{Contexts: 4})
+	runtime.GOMAXPROCS(prev)
 	t.Cleanup(rt.Close)
 	s, ts := newTestServer(t, Config{Runtime: rt})
 

@@ -30,8 +30,8 @@
 //     is a fixed atomic ring of death timestamps, read with one load;
 //   - LIFO context stack    → freed tokens are reused most-recently-dead
 //     first within each pool shard, keeping the working set on warm
-//     stacks/caches (strict whole-pool LIFO when PoolShards is 1);
-//   - fast lock table       → a striped lock table keyed by arbitrary
+//     stacks/caches;
+//   - fast lock table       → a 256-stripe lock table keyed by arbitrary
 //     64-bit addresses (Lock/Unlock), mirroring mlock/munlock.
 //
 // The protocol is the paper's: a component *offers* parallelism at each
@@ -60,16 +60,6 @@ type Config struct {
 	// the SOMT's hardware context count. Default: runtime.GOMAXPROCS(0).
 	Contexts int
 
-	// PoolShards is the number of cache-line-padded sub-stacks the free
-	// token pool (and the hot Stats counters) are sharded over. Probe pops
-	// from a per-goroutine home shard and steals from the others in ring
-	// order only on a local miss, so the shard count trades single-shard
-	// LIFO warmth for contention-free parallel probing. Default (0):
-	// min(GOMAXPROCS, Contexts). 1 reproduces the single global Treiber
-	// stack (strict whole-pool LIFO, every prober on one CAS word); values
-	// above Contexts are clamped to Contexts.
-	PoolShards int
-
 	// Throttle enables death-rate division throttling. Defaulted on by
 	// NewDefault; New leaves the zero value (off) untouched so ablations
 	// can measure the unthrottled runtime.
@@ -83,10 +73,6 @@ type Config struct {
 	// DeathThreshold is the death count within DeathWindow that trips the
 	// throttle. Default: Contexts/2, the paper's threshold.
 	DeathThreshold int
-
-	// LockStripes is the lock-table size (rounded up to a power of two).
-	// Default: 256 entries, mirroring the bounded fast lock table.
-	LockStripes int
 
 	// Tracer, when non-nil, receives lifecycle events (probe outcomes,
 	// handoffs, deaths, throttle transitions) from the hot path. Probe
@@ -108,7 +94,6 @@ func Defaults() Config {
 		Contexts:    runtime.GOMAXPROCS(0),
 		Throttle:    true,
 		DeathWindow: 100 * time.Microsecond,
-		LockStripes: 256,
 	}
 }
 
@@ -120,17 +105,11 @@ func (c Config) Validate() error {
 	if c.Contexts < 0 {
 		return fmt.Errorf("capsule: Contexts must be >= 0 (0 means GOMAXPROCS), got %d", c.Contexts)
 	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("capsule: PoolShards must be >= 0 (0 means min(GOMAXPROCS, Contexts)), got %d", c.PoolShards)
-	}
 	if c.DeathWindow < 0 {
 		return fmt.Errorf("capsule: DeathWindow must be >= 0 (0 means 100µs default), got %v", c.DeathWindow)
 	}
 	if c.DeathThreshold < 0 {
 		return fmt.Errorf("capsule: DeathThreshold must be >= 0 (0 means Contexts/2), got %d", c.DeathThreshold)
-	}
-	if c.LockStripes < 0 {
-		return fmt.Errorf("capsule: LockStripes must be >= 0 (0 means 256), got %d", c.LockStripes)
 	}
 	return nil
 }
@@ -223,7 +202,7 @@ func (c *Context) ID() int { return c.id }
 // as the process (the common case) need not bother.
 type Runtime struct {
 	cfg     Config
-	nshards int // pool and stat shard count: min(GOMAXPROCS, Contexts) by default
+	nshards int // pool and stat shard count: min(GOMAXPROCS, Contexts)
 
 	pool shardedPool // lock-free per-shard LIFOs of free context ids
 	ctxs []Context   // preallocated tokens, one per id: Probe allocates nothing
@@ -258,8 +237,7 @@ type Runtime struct {
 
 	wg sync.WaitGroup
 
-	stripes  []sync.Mutex
-	lockMask uint64
+	stripes []sync.Mutex
 
 	// now is the monotonic clock, injectable by tests to drive the death
 	// window deterministically.
@@ -276,6 +254,13 @@ func New(cfg Config) *Runtime {
 	if cfg.Contexts <= 0 {
 		cfg.Contexts = runtime.GOMAXPROCS(0)
 	}
+	return newRuntime(cfg, poolShards(cfg.Contexts))
+}
+
+// newRuntime is New for a validated cfg with Contexts set, its free
+// pool and stat blocks sharded over exactly shards (1..Contexts)
+// blocks. Tests pin the shard count through it.
+func newRuntime(cfg Config, shards int) *Runtime {
 	if cfg.DeathWindow <= 0 {
 		cfg.DeathWindow = 100 * time.Microsecond
 	}
@@ -285,32 +270,18 @@ func New(cfg Config) *Runtime {
 			cfg.DeathThreshold = 1
 		}
 	}
-	if cfg.LockStripes <= 0 {
-		cfg.LockStripes = 256
-	}
-	if cfg.PoolShards <= 0 {
-		cfg.PoolShards = poolShards(cfg.Contexts)
-	}
-	if cfg.PoolShards > cfg.Contexts {
-		cfg.PoolShards = cfg.Contexts
-	}
-	stripes := 1
-	for stripes < cfg.LockStripes {
-		stripes <<= 1
-	}
 	rt := &Runtime{
 		cfg:      cfg,
-		nshards:  cfg.PoolShards,
+		nshards:  shards,
 		workers:  make([]chan job, cfg.Contexts),
 		wstate:   make([]workerState, cfg.Contexts),
-		stats:    make([]statShard, cfg.PoolShards),
+		stats:    make([]statShard, shards),
 		closedCh: make(chan struct{}),
-		stripes:  make([]sync.Mutex, stripes),
-		lockMask: uint64(stripes - 1),
+		stripes:  make([]sync.Mutex, lockStripes),
 		now:      func() int64 { return time.Now().UnixNano() },
 	}
 	rt.tracer = cfg.Tracer
-	rt.pool.init(cfg.Contexts, cfg.PoolShards)
+	rt.pool.init(cfg.Contexts, shards)
 	rt.ring.init(cfg.DeathThreshold)
 	rt.ctxs = make([]Context, cfg.Contexts)
 	rt.ctxTrace = make([]uint64, cfg.Contexts)
@@ -585,13 +556,17 @@ func (rt *Runtime) Join() { rt.wg.Wait() }
 // table.
 func (rt *Runtime) Lock(key uint64) {
 	rt.stat().lockAcquires.Add(1)
-	rt.stripes[mix(key)&rt.lockMask].Lock()
+	rt.stripes[mix(key)%lockStripes].Lock()
 }
 
 // Unlock releases the table entry for key (munlock).
 func (rt *Runtime) Unlock(key uint64) {
-	rt.stripes[mix(key)&rt.lockMask].Unlock()
+	rt.stripes[mix(key)%lockStripes].Unlock()
 }
+
+// lockStripes is the lock-table size, mirroring the bounded fast lock
+// table.
+const lockStripes = 256
 
 // mix is a 64-bit finaliser (splitmix64) so dense keys spread over
 // stripes.

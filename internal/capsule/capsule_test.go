@@ -18,7 +18,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if rt.Contexts() < 1 {
 		t.Fatalf("Contexts = %d, want >= 1", rt.Contexts())
 	}
-	if rt.cfg.DeathWindow <= 0 || rt.cfg.DeathThreshold < 1 || rt.cfg.LockStripes < 1 {
+	if rt.cfg.DeathWindow <= 0 || rt.cfg.DeathThreshold < 1 || len(rt.stripes) < 1 {
 		t.Fatalf("defaults not applied: %+v", rt.cfg)
 	}
 	if len(rt.stripes)&(len(rt.stripes)-1) != 0 {
@@ -34,13 +34,10 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value (defaults)", Config{}, true},
 		{"defaults", Defaults(), true},
-		{"explicit", Config{Contexts: 2, DeathThreshold: 1, LockStripes: 8, DeathWindow: time.Millisecond}, true},
+		{"explicit", Config{Contexts: 2, DeathThreshold: 1, DeathWindow: time.Millisecond}, true},
 		{"negative contexts", Config{Contexts: -1}, false},
-		{"negative shards", Config{PoolShards: -2}, false},
-		{"shards above contexts (clamped)", Config{Contexts: 2, PoolShards: 8}, true},
 		{"negative window", Config{DeathWindow: -time.Microsecond}, false},
 		{"negative threshold", Config{DeathThreshold: -3}, false},
-		{"negative stripes", Config{LockStripes: -256}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -148,7 +145,7 @@ func TestFreeContextsPeeksWithoutProbing(t *testing.T) {
 func TestLIFOContextReuse(t *testing.T) {
 	// Whole-pool LIFO is the single-shard configuration; the sharded
 	// default keeps LIFO per shard (covered in shard_test.go).
-	rt := New(Config{Contexts: 3, Throttle: false, PoolShards: 1})
+	rt := newRuntime(Config{Contexts: 3, Throttle: false}, 1)
 	// Initial allocation order is 0, 1, 2 (context 0 on top).
 	var cs []*Context
 	for want := 0; want < 3; want++ {
@@ -174,7 +171,7 @@ func TestWorkerDeathRefillsLIFO(t *testing.T) {
 	// Single shard: the dead worker's token must be the very next grant.
 	// (Sharded, it lands on the worker goroutine's home shard, which may
 	// differ from the prober's — per-shard LIFO, tested in shard_test.go.)
-	rt := New(Config{Contexts: 2, Throttle: false, PoolShards: 1})
+	rt := newRuntime(Config{Contexts: 2, Throttle: false}, 1)
 	c, _ := rt.Probe()
 	id := c.ID()
 	rt.Spawn(c, func() {})

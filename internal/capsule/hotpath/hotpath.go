@@ -1,12 +1,9 @@
 // Package hotpath is the probe/divide contention benchmark suite, run
-// against three pool implementations side by side:
+// against two pool implementations side by side:
 //
 //   - atomic: the live lock-free runtime (internal/capsule) — sharded
 //     Treiber token stacks with ring-order stealing, padded per-shard
 //     stats, atomic death ring, spin-then-park persistent workers;
-//   - atomic1: the same runtime forced to PoolShards=1 — the PR-3
-//     single global Treiber stack, so the report shows what sharding
-//     itself buys on top of lock-freedom;
 //   - mutex: the retained pre-rewrite pool (internal/capsule/baseline) —
 //     global mutex LIFO, slice-pruned death window, goroutine-per-spawn.
 //
@@ -41,29 +38,25 @@ type Case struct {
 }
 
 // SweepMultipliers is the GOMAXPROCS sweep: the parallel probe-granted
-// cases run at each multiplier × GOMAXPROCS concurrent probers, for all
-// three implementations. capstress records it in BENCH_capsule.json so
+// cases run at each multiplier × GOMAXPROCS concurrent probers, for
+// both implementations. capstress records it in BENCH_capsule.json so
 // numbers from different machines are comparable.
 var SweepMultipliers = []int{1, 4, 16}
 
 // Cases returns the full suite. Names are impl/path[_probers]: the
-// "atomic/", "atomic1/" and "mutex/" families are exact mirrors on the
-// shared paths, so any pair divides into a speedup. The "atomic/..."
-// keys are the live runtime's tracked trajectory (stable across PRs for
-// the CI regression gate); "atomic1/..." is the same runtime pinned to
-// the PR-3 single-stack configuration. The overhead families follow
-// (see Overheads).
+// "atomic/" and "mutex/" families are exact mirrors on the shared
+// paths, so each pair divides into a speedup. The "atomic/..." keys are
+// the live runtime's tracked trajectory (stable across PRs for the CI
+// regression gate). The overhead families follow (see Overheads).
 func Cases() []Case {
 	cases := []Case{
 		{"atomic/probe_granted_serial", probeGranted(0, plane{})},
-		{"atomic1/probe_granted_serial", probeGranted(0, singleStack)},
 		{"mutex/probe_granted_serial", mutexProbeGranted(0)},
 	}
 	for _, m := range SweepMultipliers {
 		suffix := "_parallel_" + strconv.Itoa(m) + "x"
 		cases = append(cases,
 			Case{"atomic/probe_granted" + suffix, probeGranted(m, plane{})},
-			Case{"atomic1/probe_granted" + suffix, probeGranted(m, singleStack)},
 			Case{"mutex/probe_granted" + suffix, mutexProbeGranted(m)},
 		)
 	}
@@ -184,9 +177,6 @@ func (p plane) runtime(b *testing.B, cfg capsule.Config) (*capsule.Runtime, func
 		rt.Close()
 	}
 }
-
-// singleStack pins Config.PoolShards to 1, the PR-3 single global stack.
-var singleStack = plane{config: func(c *capsule.Config) { c.PoolShards = 1 }}
 
 // probeGranted builds the granted-probe case at par×GOMAXPROCS probers
 // (0 = serial) on a pool of one context per prober. ProbeTraced with

@@ -35,18 +35,6 @@ func BenchmarkProbeRefusedParallel4x(b *testing.B) { bench(b, "atomic/probe_refu
 func BenchmarkTryDivideRefused(b *testing.B)       { bench(b, "atomic/try_divide_refused") }
 func BenchmarkDivideGranted(b *testing.B)          { bench(b, "atomic/divide_granted") }
 
-// The atomic1 side: the live runtime pinned to PoolShards=1, i.e. the
-// PR-3 single global Treiber stack — what sharding is measured against.
-func BenchmarkSingleStackProbeGrantedSerial(b *testing.B) {
-	bench(b, "atomic1/probe_granted_serial")
-}
-func BenchmarkSingleStackProbeGrantedParallel4x(b *testing.B) {
-	bench(b, "atomic1/probe_granted_parallel_4x")
-}
-func BenchmarkSingleStackProbeGrantedParallel16x(b *testing.B) {
-	bench(b, "atomic1/probe_granted_parallel_16x")
-}
-
 // The mutex baseline side (internal/capsule/baseline).
 func BenchmarkMutexProbeGrantedSerial(b *testing.B) { bench(b, "mutex/probe_granted_serial") }
 func BenchmarkMutexProbeGrantedParallel(b *testing.B) {

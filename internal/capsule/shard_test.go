@@ -133,7 +133,7 @@ func TestShardStealConservationStorm(t *testing.T) {
 // moment any one token (in any shard) comes home.
 func TestRefusalOnlyWhenAllShardsEmpty(t *testing.T) {
 	const contexts = 4
-	rt := New(Config{Contexts: contexts, Throttle: false, PoolShards: contexts})
+	rt := newRuntime(Config{Contexts: contexts, Throttle: false}, contexts)
 	defer rt.Close()
 	if rt.nshards != contexts {
 		t.Fatalf("nshards = %d, want %d", rt.nshards, contexts)
@@ -177,7 +177,7 @@ func TestRefusalOnlyWhenAllShardsEmpty(t *testing.T) {
 // sides are sums over padded per-shard blocks, and so does the one taken
 // at quiescence.
 func TestShardedStatsInvariantStorm(t *testing.T) {
-	rt := New(Config{Contexts: 4, PoolShards: 4, Throttle: true, DeathWindow: 20 * time.Microsecond})
+	rt := newRuntime(Config{Contexts: 4, Throttle: true, DeathWindow: 20 * time.Microsecond}, 4)
 	defer rt.Close()
 	stop := make(chan struct{})
 	var violations atomic.Int64
@@ -234,7 +234,7 @@ func TestShardedStatsInvariantStorm(t *testing.T) {
 // must still be grantable exactly once at the end.
 func TestRuntimeShardStealStorm(t *testing.T) {
 	const contexts = 6
-	rt := New(Config{Contexts: contexts, PoolShards: 3, Throttle: true, DeathWindow: 30 * time.Microsecond})
+	rt := newRuntime(Config{Contexts: contexts, Throttle: true, DeathWindow: 30 * time.Microsecond}, 3)
 	var outer sync.WaitGroup
 	for g := 0; g < 12; g++ {
 		outer.Add(1)

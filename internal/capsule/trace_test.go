@@ -16,7 +16,7 @@ import (
 
 func traceTestRuntime(t *testing.T, tr *captrace.Tracer, contexts int) *Runtime {
 	t.Helper()
-	rt := New(Config{Contexts: contexts, PoolShards: 1, Tracer: tr})
+	rt := newRuntime(Config{Contexts: contexts, Tracer: tr}, 1)
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -132,8 +132,8 @@ func TestStaleTraceIDDoesNotLeak(t *testing.T) {
 func TestThrottleTransitionEvents(t *testing.T) {
 	tr := captrace.New(1, 64)
 	clock := int64(0)
-	rt := New(Config{Contexts: 4, PoolShards: 1, Throttle: true,
-		DeathWindow: time.Millisecond, DeathThreshold: 2, Tracer: tr})
+	rt := newRuntime(Config{Contexts: 4, Throttle: true,
+		DeathWindow: time.Millisecond, DeathThreshold: 2, Tracer: tr}, 1)
 	t.Cleanup(rt.Close)
 	rt.now = func() int64 { return clock }
 
@@ -168,7 +168,7 @@ func TestThrottleTransitionEvents(t *testing.T) {
 // Stats fields and satisfy local_hits + steals == granted, on a
 // deterministic single-prober workload that must steal.
 func TestShardCounterAccounting(t *testing.T) {
-	rt := New(Config{Contexts: 4, PoolShards: 2})
+	rt := newRuntime(Config{Contexts: 4}, 2)
 	t.Cleanup(rt.Close)
 
 	// Drain the whole pool from one goroutine: its home shard empties

@@ -66,7 +66,7 @@ func Parse(data []byte) (*Profile, error) {
 		funcName: make(map[uint64]string),
 	}
 	var strtab []string
-	var sampleTypeRefs [][2]uint64      // (type, unit) string indices
+	var sampleTypeRefs [][2]uint64         // (type, unit) string indices
 	funcNameIdx := make(map[uint64]uint64) // function id → string index
 	err := walkFields(data, func(field uint64, wire int, v uint64, chunk []byte) error {
 		switch field {
