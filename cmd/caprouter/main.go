@@ -14,7 +14,7 @@
 //
 //	caprouter -addr :8090 -backends http://10.0.0.1:8080,http://10.0.0.2:8080
 //	caprouter -addr :8090 -spawn 3 -spawn-contexts 2 -policy rendezvous
-//	caprouter -addr :8090 -spawn 2 -credits 8 -fail-threshold 3 -fail-window 2s
+//	caprouter -addr :8090 -spawn 2 -fail-threshold 3 -fail-window 2s
 //	caprouter -addr :8090 -spawn 2 -trace          # route spans on /debug/trace
 //	caprouter -addr :8090 -spawn 3 -slo-p99 150ms  # fleet telemetry on /debug/watch
 //	caprouter -addr :8090 -spawn 3 -fault -debug-addr localhost:6061  # fault injection on /debug/fault
@@ -58,21 +58,16 @@ func main() {
 	policy := flag.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, rendezvous")
 	contexts := flag.Int("contexts", 0, "local fallback runtime context pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "local fallback accept-queue depth (0 = 4x contexts)")
-	credits := flag.Int("credits", 0, "initial per-backend credits (0 = default)")
-	maxCredits := flag.Int("max-credits", 0, "ceiling on learned credits (0 = default)")
 	failThreshold := flag.Int("fail-threshold", 0, "backend failures tripping the breaker (0 = default)")
 	failWindow := flag.Duration("fail-window", 0, "breaker window (0 = default)")
 	timeout := flag.Duration("timeout", 0, "total per-request routing budget (0 = default)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-dispatch-attempt deadline carved from the budget (0 = default)")
-	refreshTimeout := flag.Duration("refresh-timeout", 0, "credit-refresh fetch timeout, independent of the dispatch budget (0 = default)")
-	trialBackoff := flag.Duration("trial-backoff", 0, "base backoff between failed half-open trials, jittered and doubled per failure (0 = default)")
 	slowCheck := flag.Duration("slow-check", capcluster.SlowCheckInterval, "slow-backend ejection cadence (0 disables)")
 	slowFactor := flag.Float64("slow-factor", 0, "eject a backend whose dispatch p99 exceeds this multiple of its peers' median (0 = default)")
 	slowMinP99 := flag.Duration("slow-min-p99", 0, "absolute p99 floor below which no backend is ejected (0 = default)")
 	slowMinSamples := flag.Int("slow-min-samples", 0, "dispatches per interval a backend needs before slow ejection considers it (0 = default)")
 	refresh := flag.Duration("refresh", time.Second, "credit refresh interval (fetches one credit delta from each backend the push feed has lost; 0 disables)")
-	feedOn := flag.Bool("feed", true, "subscribe to backend /debug/credits push feeds (headers and refresh fetches remain as fallbacks)")
-	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: fresh feeds skip the refresh fetch, fully quiet backends decay toward -credits (0 = default)")
+	staleTTL := flag.Duration("stale-ttl", 0, "credit-gauge trust window: fresh feeds skip the refresh fetch, fully quiet backends decay toward the initial credits (0 = default)")
 	feedBackoff := flag.Duration("feed-backoff", 0, "base backoff between feed reconnect attempts, jittered and doubled per failure (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	var oc ops.Config
@@ -119,19 +114,15 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	dispatchRT, feedRT := plane.Transports(*maxCredits)
+	dispatchRT, feedRT := plane.Transports()
 	router, err := capcluster.New(capcluster.Config{
 		Backends:       urls,
 		Local:          local,
 		Placement:      place,
-		Credits:        *credits,
-		MaxCredits:     *maxCredits,
 		FailThreshold:  *failThreshold,
 		FailWindow:     *failWindow,
 		Timeout:        *timeout,
 		AttemptTimeout: *attemptTimeout,
-		RefreshTimeout: *refreshTimeout,
-		TrialBackoff:   *trialBackoff,
 		SlowFactor:     *slowFactor,
 		SlowMinP99:     *slowMinP99,
 		SlowMinSamples: *slowMinSamples,
@@ -152,10 +143,11 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *feedOn && len(urls) > 0 {
-		// The push plane: one subscription per backend, reconnecting with
-		// jittered backoff for the process lifetime. The Refresh ticker
-		// below then only pays for backends the push plane has lost.
+	if len(urls) > 0 {
+		// The push plane, the gauges' only live signal: one subscription
+		// per backend, reconnecting with jittered backoff for the process
+		// lifetime. The Refresh ticker below then only pays for backends
+		// the push plane has lost.
 		router.StartFeeds(ctx)
 		fmt.Printf("caprouter: subscribed to %d backend credit feeds\n", len(urls))
 	}

@@ -36,6 +36,7 @@ type chaosScenario struct {
 	Backends int `json:"backends"`
 	Clients  int `json:"clients"`
 	load
+	credit
 
 	Joins  int `json:"joins,omitempty"`  // churn: backends that (re)joined mid-run
 	Leaves int `json:"leaves,omitempty"` // churn: backends that left mid-run
@@ -126,7 +127,7 @@ func churnLoop(d time.Duration, n int) (*chaosScenario, error) {
 	close(stop)
 	churnWG.Wait()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients, load: run.load(),
+		Backends: nBackends, Clients: clients, load: run.load(), credit: f.credit(),
 		Joins: int(joins.Load()), Leaves: int(leaves.Load()),
 	}, nil
 }
@@ -194,7 +195,7 @@ func slowLoop(d time.Duration, n int) (*chaosScenario, error) {
 	tickWG.Wait()
 	st := victim.Stats()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients, load: run.load(),
+		Backends: nBackends, Clients: clients, load: run.load(), credit: f.credit(),
 		Ejections:  st.Ejections,
 		Readmitted: st.Ejections > 0 && st.Served > servedAtClear.Load(),
 	}, nil
@@ -235,7 +236,7 @@ func partitionLoop(d time.Duration, n int) (*chaosScenario, error) {
 	run := storm([]string{url}, mixed, clients, n, d)
 	st := victim.Stats()
 	return &chaosScenario{
-		Backends: nBackends, Clients: clients, load: run.load(),
+		Backends: nBackends, Clients: clients, load: run.load(), credit: f.credit(),
 		Deaths:        st.Deaths,
 		BreakerDenies: st.BreakerDenies,
 		Readmitted:    !victim.Broken(),

@@ -36,7 +36,40 @@ func clientCount(perP, floor int) int {
 type fleet struct {
 	backends []*capserve.Backend
 	urls     []string
-	routers  []func() // each router's teardown
+	routers  []*capcluster.Router
+	stops    []func() // each router's teardown
+}
+
+// credit is a routed storm's credit-signal evidence, summed over the
+// fleet's routers: backend 503s (the gauge promised room that was not
+// there), probes refused for lack of credit, requests degraded to a
+// router's local tier, and gauges decayed for want of any delta.
+type credit struct {
+	RemoteSheds    uint64 `json:"remote_sheds"`
+	CreditDenies   uint64 `json:"credit_denies"`
+	LocalFallbacks uint64 `json:"local_fallbacks"`
+	StaleDecays    uint64 `json:"stale_decays"`
+}
+
+func (c credit) String() string {
+	return fmt.Sprintf("remote_sheds=%d credit_denies=%d local_fallbacks=%d stale_decays=%d",
+		c.RemoteSheds, c.CreditDenies, c.LocalFallbacks, c.StaleDecays)
+}
+
+// credit sums the credit evidence of every router the fleet built,
+// including replicas already killed.
+func (f *fleet) credit() credit {
+	var c credit
+	for _, r := range f.routers {
+		s := r.Stats()
+		c.RemoteSheds += s.RemoteSheds
+		c.CreditDenies += s.CreditDenies
+		c.LocalFallbacks += s.LocalFallbacks
+		for _, b := range r.Backends() {
+			c.StaleDecays += b.Stats().StaleDecays
+		}
+	}
+	return c
 }
 
 // startFleet boots n capserve backends with two throttled contexts and
@@ -62,14 +95,15 @@ func startFleet(n int, heartbeat time.Duration) (*fleet, error) {
 }
 
 // router builds one caprouter over the fleet with its own local tier,
-// gauges and breakers, and serves it on a plain net/http server (not
-// httptest), so closing that server is abrupt: http.Server.Close tears
-// down the listener and every live connection without draining, as
-// close to kill -9 as one process gets. The local queue must absorb a
-// correlated fallback burst (right after a kill every client can
-// degrade at once), so it is sized to the client count: a fixed queue
-// would break the zero-errors property on machines with enough cores
-// for clients to outnumber it.
+// gauges, breakers and credit-feed subscriptions (the gauges' only live
+// signal, as in a shipped caprouter), and serves it on a plain net/http
+// server (not httptest), so closing that server is abrupt:
+// http.Server.Close tears down the listener and every live connection
+// without draining, as close to kill -9 as one process gets. The local
+// queue must absorb a correlated fallback burst (right after a kill
+// every client can degrade at once), so it is sized to the client
+// count: a fixed queue would break the zero-errors property on machines
+// with enough cores for clients to outnumber it.
 func (f *fleet) router(clients int, cfg capcluster.Config) (*capcluster.Router, *http.Server, string, error) {
 	localRT := capsule.NewDefault()
 	local, err := capserve.New(capserve.Config{Runtime: localRT, QueueDepth: 4 * clients})
@@ -90,10 +124,14 @@ func (f *fleet) router(clients int, cfg capcluster.Config) (*capcluster.Router, 
 		localRT.Close()
 		return nil, nil, "", err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	router.StartFeeds(ctx)
 	srv := &http.Server{Handler: router}
 	go srv.Serve(ln)
-	f.routers = append(f.routers, func() {
+	f.routers = append(f.routers, router)
+	f.stops = append(f.stops, func() {
 		srv.Close()
+		cancel()
 		localRT.Close()
 	})
 	return router, srv, "http://" + ln.Addr().String(), nil
@@ -101,7 +139,7 @@ func (f *fleet) router(clients int, cfg capcluster.Config) (*capcluster.Router, 
 
 // close tears down the routers, then drains every backend.
 func (f *fleet) close() {
-	for _, stop := range f.routers {
+	for _, stop := range f.stops {
 		stop()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -184,10 +184,10 @@ type clusterResult struct {
 	Clients  int `json:"clients"`
 	N        int `json:"n"`
 	load
+	credit
 	RemoteProbes    uint64  `json:"remote_probes"`
 	RemoteGrants    uint64  `json:"remote_grants"`
 	RemoteGrantRate float64 `json:"remote_grant_rate"`
-	LocalFallbacks  uint64  `json:"local_fallbacks"`
 	FallbackRate    float64 `json:"fallback_rate"`
 	Deaths          uint64  `json:"deaths"`
 	BreakerDenies   uint64  `json:"breaker_denies"`
@@ -288,8 +288,8 @@ func main() {
 			fail("cluster measurement: %v", err)
 		}
 		r.Cluster = c
-		fmt.Printf("cluster: %d clients x %s over %d backends (one killed at halftime): %.1f req/s, %d requests, %d errors, grant rate %.3f, fallback rate %.3f, %d deaths\n",
-			c.Clients, clusterDur, c.Backends, c.RPS, c.Requests, c.Errors, c.RemoteGrantRate, c.FallbackRate, c.Deaths)
+		fmt.Printf("cluster: %d clients x %s over %d backends (one killed at halftime): %.1f req/s, %d requests, %d errors, grant rate %.3f, fallback rate %.3f, %d deaths, %s\n",
+			c.Clients, clusterDur, c.Backends, c.RPS, c.Requests, c.Errors, c.RemoteGrantRate, c.FallbackRate, c.Deaths, c.credit)
 	}
 
 	if *chaos {
@@ -298,12 +298,12 @@ func main() {
 			fail("chaos measurement: %v", err)
 		}
 		r.Chaos = ch
-		fmt.Printf("chaos churn: %d joins/%d leaves across %d backends: %d requests, %d errors\n",
-			ch.Churn.Joins, ch.Churn.Leaves, ch.Churn.Backends, ch.Churn.Requests, ch.Churn.Errors)
-		fmt.Printf("chaos slow: %d ejections, readmitted=%v: %d requests, %d errors\n",
-			ch.Slow.Ejections, ch.Slow.Readmitted, ch.Slow.Requests, ch.Slow.Errors)
-		fmt.Printf("chaos partition: %d deaths, %d breaker denies, max latency %.0fms: %d requests, %d errors\n",
-			ch.Partition.Deaths, ch.Partition.BreakerDenies, ch.Partition.MaxLatencyMS, ch.Partition.Requests, ch.Partition.Errors)
+		fmt.Printf("chaos churn: %d joins/%d leaves across %d backends: %d requests, %d errors, %s\n",
+			ch.Churn.Joins, ch.Churn.Leaves, ch.Churn.Backends, ch.Churn.Requests, ch.Churn.Errors, ch.Churn.credit)
+		fmt.Printf("chaos slow: %d ejections, readmitted=%v: %d requests, %d errors, %s\n",
+			ch.Slow.Ejections, ch.Slow.Readmitted, ch.Slow.Requests, ch.Slow.Errors, ch.Slow.credit)
+		fmt.Printf("chaos partition: %d deaths, %d breaker denies, max latency %.0fms: %d requests, %d errors, %s\n",
+			ch.Partition.Deaths, ch.Partition.BreakerDenies, ch.Partition.MaxLatencyMS, ch.Partition.Requests, ch.Partition.Errors, ch.Partition.credit)
 	}
 
 	if *routerChaos {
@@ -312,12 +312,12 @@ func main() {
 			fail("router chaos measurement: %v", err)
 		}
 		r.RouterChaos = rc
-		fmt.Printf("router chaos replica_kill: %d replicas over %d backends, one killed at halftime: %d requests, %d errors, %d failovers, placement %d/%d agreed\n",
+		fmt.Printf("router chaos replica_kill: %d replicas over %d backends, one killed at halftime: %d requests, %d errors, %d failovers, placement %d/%d agreed, %s\n",
 			rc.ReplicaKill.Replicas, rc.ReplicaKill.Backends, rc.ReplicaKill.Requests, rc.ReplicaKill.Errors,
-			rc.ReplicaKill.Failovers, rc.ReplicaKill.PlacementAgreed, rc.ReplicaKill.PlacementChecked)
-		fmt.Printf("router chaos feed_partition: %d refresh skips pre-cut (%d total), %d feed deltas, %d stale decays: %d requests, %d errors\n",
+			rc.ReplicaKill.Failovers, rc.ReplicaKill.PlacementAgreed, rc.ReplicaKill.PlacementChecked, rc.ReplicaKill.credit)
+		fmt.Printf("router chaos feed_partition: %d refresh skips pre-cut (%d total), %d feed deltas: %d requests, %d errors, %s\n",
 			rc.FeedPartition.RefreshSkippedPre, rc.FeedPartition.RefreshSkipped, rc.FeedPartition.FeedDeltas,
-			rc.FeedPartition.StaleDecays, rc.FeedPartition.Requests, rc.FeedPartition.Errors)
+			rc.FeedPartition.Requests, rc.FeedPartition.Errors, rc.FeedPartition.credit)
 	}
 
 	if *incident {
@@ -512,10 +512,10 @@ func clusterLoop(d time.Duration, n int) (*clusterResult, error) {
 		Clients:         clients,
 		N:               n,
 		load:            run.load(),
+		credit:          f.credit(),
 		RemoteProbes:    s.RemoteProbes,
 		RemoteGrants:    s.RemoteGrants,
 		RemoteGrantRate: s.RemoteGrantRate(),
-		LocalFallbacks:  s.LocalFallbacks,
 		FallbackRate:    s.FallbackRate(),
 		Deaths:          s.Deaths,
 		BreakerDenies:   s.BreakerDenies,

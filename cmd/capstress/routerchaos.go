@@ -7,13 +7,13 @@ package main
 // the gate is zero failed client requests plus placement agreement
 // (same key lands on the same backend through either replica, the
 // rendezvous property that makes replicas interchangeable without
-// coordination). feed_partition blackholes the credit push plane
-// through capfault's feed scope and proves the scrape fallback keeps
-// dispatch fed: the push feed must have been carrying (refresh skips
-// grew) before the cut, and no client request fails after it.
+// coordination). feed_partition blackholes the credit push plane (which
+// every router the fleet builds subscribes to) through capfault's feed
+// scope and proves the scrape fallback keeps dispatch fed: the push
+// feed must have been carrying (refresh skips grew) before the cut, and
+// no client request fails after it.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,6 +35,7 @@ type routerChaosScenario struct {
 	Backends int `json:"backends"`
 	Clients  int `json:"clients"`
 	load
+	credit // feed: stale_decays must stay 0 — scrape fallback kept gauges fresh
 
 	Failovers        int `json:"failovers,omitempty"`         // kill: successes on a non-preferred replica
 	PlacementChecked int `json:"placement_checked,omitempty"` // kill: keys routed remotely via both replicas
@@ -43,7 +44,6 @@ type routerChaosScenario struct {
 	RefreshSkippedPre uint64 `json:"refresh_skipped_pre,omitempty"` // feed: scrape skips before the cut (push plane carrying)
 	RefreshSkipped    uint64 `json:"refresh_skipped,omitempty"`     // feed: total at end
 	FeedDeltas        uint64 `json:"feed_deltas,omitempty"`         // feed: deltas applied across backends
-	StaleDecays       uint64 `json:"stale_decays"`                  // feed: must stay 0 — scrape fallback kept gauges fresh
 }
 
 // routerChaosResult groups the two storms in BENCH_capsule.json.
@@ -69,13 +69,11 @@ func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 		return nil, err
 	}
 	defer f.close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var servers []*http.Server
 	var targets []string
 	for r := 0; r < nReplicas; r++ {
 		// Rendezvous placement, so every replica agrees with its siblings.
-		router, srv, url, err := f.router(clients, capcluster.Config{
+		_, srv, url, err := f.router(clients, capcluster.Config{
 			FailThreshold: 2,
 			FailWindow:    400 * time.Millisecond,
 			Timeout:       5 * time.Second,
@@ -84,7 +82,6 @@ func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		router.StartFeeds(ctx)
 		servers = append(servers, srv)
 		targets = append(targets, url)
 	}
@@ -121,15 +118,15 @@ func replicaKillLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 		}
 	}
 
-	// Halftime: replica 0 dies hard. Its live connections reset, its
-	// feed subscriptions die with it, and every client that preferred
-	// it must fail over within the same request.
+	// Halftime: replica 0 dies hard. Its listener and live connections
+	// reset, and every client that preferred it must fail over within
+	// the same request.
 	kill := time.AfterFunc(d/2, func() { servers[0].Close() })
 	defer kill.Stop()
 
 	run := storm(targets, mixed, clients, n, d)
 	return &routerChaosScenario{
-		Replicas: nReplicas, Backends: nBackends, Clients: clients, load: run.load(),
+		Replicas: nReplicas, Backends: nBackends, Clients: clients, load: run.load(), credit: f.credit(),
 		Failovers:        int(run.failovers),
 		PlacementChecked: checked,
 		PlacementAgreed:  agreed,
@@ -165,9 +162,6 @@ func feedPartitionLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	router.StartFeeds(ctx)
 
 	// The scrape ticker a live caprouter runs: while feeds are fresh
 	// every tick is all skips; after the blackhole it is the only
@@ -203,18 +197,15 @@ func feedPartitionLoop(d time.Duration, n int) (*routerChaosScenario, error) {
 	close(stop)
 	tickWG.Wait()
 
-	var deltas, decays uint64
+	var deltas uint64
 	for _, b := range router.Backends() {
-		st := b.Stats()
-		deltas += st.FeedDeltas
-		decays += st.StaleDecays
+		deltas += b.Stats().FeedDeltas
 	}
 	return &routerChaosScenario{
-		Backends: nBackends, Clients: clients, load: run.load(),
+		Backends: nBackends, Clients: clients, load: run.load(), credit: f.credit(),
 		RefreshSkippedPre: preCut.Load(),
 		RefreshSkipped:    router.RefreshSkipped(),
 		FeedDeltas:        deltas,
-		StaleDecays:       decays,
 	}, nil
 }
 

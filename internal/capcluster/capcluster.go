@@ -18,10 +18,10 @@
 // The mapping from the runtime's mechanisms to the cluster's:
 //
 //   - context tokens   → backend credits: in-flight dispatches vs. the
-//     capacity the backend advertises (the pushed credit feed, response
-//     headers on every reply, one fetched delta on Refresh). ProbeRemote
-//     is a breaker check plus one CAS — the deny path touches no network
-//     and allocates nothing;
+//     capacity the backend advertises in CreditDeltas (the pushed credit
+//     feed, or one delta fetched on Refresh, both through one seq
+//     guard). ProbeRemote is a breaker check plus one CAS — the deny
+//     path touches no network and allocates nothing;
 //   - kthr / deaths    → backend errors, timeouts and 5xx responses,
 //     recorded in a per-backend failure ring;
 //   - death throttling → the breaker: enough failures inside the window
@@ -66,12 +66,14 @@ const (
 // the router could finish.
 const statusClientClosed = 499
 
-// Defaults applied by New for zero Config fields.
+// Defaults applied by New for zero Config fields, and the fixed credit,
+// refresh, trial and body constants every router uses.
 const (
 	// DefaultCredits is the initial per-backend credit ceiling, spent
-	// before the first header or delta teaches the real capacity.
+	// before the first delta teaches the real capacity, and the value a
+	// backend quiet past StaleTTL decays toward.
 	DefaultCredits = 4
-	// DefaultMaxCredits caps learned credits so a corrupt header cannot
+	// DefaultMaxCredits caps learned credits so a corrupt delta cannot
 	// open the floodgates.
 	DefaultMaxCredits = 1024
 	// DefaultFailThreshold failures inside DefaultFailWindow trip a
@@ -94,10 +96,10 @@ const (
 	// backoff between failed half-open trials.
 	DefaultTrialBackoff = 100 * time.Millisecond
 	// DefaultStaleTTL is how long a backend's credit gauge stays trusted
-	// after its last live signal (push delta, response header, or fetch).
-	// Within the TTL a push-fed backend skips the Refresh fetch; past it
-	// with *every* source quiet, the gauge decays toward Config.Credits
-	// instead of serving stale capacity forever. Several push heartbeats
+	// after its last live signal (a pushed or fetched delta). Within the
+	// TTL a push-fed backend skips the Refresh fetch; past it with both
+	// sources quiet, the gauge decays toward DefaultCredits instead of
+	// serving stale capacity forever. Several push heartbeats
 	// (DefaultFeedHeartbeat) fit inside, so one dropped event never marks
 	// a healthy feed stale.
 	DefaultStaleTTL = 3 * time.Second
@@ -134,14 +136,6 @@ type Config struct {
 	// LeastLoaded.
 	Placement Placement
 
-	// Credits is the initial per-backend credit ceiling. Default:
-	// DefaultCredits.
-	Credits int
-
-	// MaxCredits caps credits learned from headers and deltas. Default:
-	// DefaultMaxCredits.
-	MaxCredits int
-
 	// FailThreshold failures within FailWindow trip a backend's breaker.
 	// Defaults: DefaultFailThreshold, DefaultFailWindow.
 	FailThreshold int
@@ -158,21 +152,14 @@ type Config struct {
 	// effectively disable the per-attempt slice.
 	AttemptTimeout time.Duration
 
-	// RefreshTimeout bounds one Refresh fetch of a backend's credit
-	// delta. The fetch client is separate from the dispatch client
-	// precisely so a black-holed backend cannot hold the recovery feed
-	// hostage for a full dispatch Timeout. Default: DefaultRefreshTimeout.
-	RefreshTimeout time.Duration
-
 	// StaleTTL bounds credit-gauge trust: a backend whose push feed is
 	// fresh within the TTL skips the Refresh fetch, and a backend whose
-	// every live source (feed, headers, fetch) has been quiet past it
-	// decays toward Credits on each Refresh tick. Default:
-	// DefaultStaleTTL.
+	// feed and fetch have both been quiet past it decays toward
+	// DefaultCredits on each Refresh tick. Default: DefaultStaleTTL.
 	StaleTTL time.Duration
 
 	// FeedBackoff is the base of the jittered exponential backoff between
-	// credit-feed reconnect attempts — same shape as TrialBackoff, same
+	// credit-feed reconnect attempts — the half-open trials' ladder, same
 	// deterministic per-backend jitter, so a fleet of routers losing the
 	// same backend doesn't resubscribe in lockstep. Default:
 	// DefaultFeedBackoff.
@@ -184,15 +171,6 @@ type Config struct {
 	// Default (nil): the dispatch transport.
 	FeedTransport http.RoundTripper
 
-	// TrialBackoff is the base of the jittered exponential backoff
-	// applied between *failed* half-open trials: after the k-th
-	// consecutive trial failure the next trial also waits
-	// ~TrialBackoff·2^(k-1), jittered ±50% deterministically per
-	// backend, on top of the quiet-window gate — so a fleet of routers
-	// re-probing a struggling backend doesn't line its trials up into a
-	// thundering herd. Default: DefaultTrialBackoff.
-	TrialBackoff time.Duration
-
 	// SlowFactor, SlowMinP99 and SlowMinSamples parameterise slow-backend
 	// ejection (Router.CheckSlow): a backend whose dispatch p99 over the
 	// interval exceeds SlowFactor × the fleet-median p99 — while p99 >
@@ -203,9 +181,6 @@ type Config struct {
 	SlowFactor     float64
 	SlowMinP99     time.Duration
 	SlowMinSamples int
-
-	// MaxBody caps buffered POST bodies. Default: DefaultMaxBody.
-	MaxBody int64
 
 	// Transport overrides the dispatch transport (tests). Default: a
 	// clone of http.DefaultTransport with the per-backend idle-connection
@@ -238,15 +213,8 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("capcluster: backend %q is not an http(s) base URL", b)
 		}
 	}
-	if cfg.Credits < 0 || cfg.MaxCredits < 0 || cfg.FailThreshold < 0 {
-		return fmt.Errorf("capcluster: Credits, MaxCredits and FailThreshold must be >= 0 (0 means default)")
-	}
-	// The gauge packs credits into 32 bits; anything near that is a typo,
-	// and letting it through would silently truncate — a fleet parked at
-	// zero credits with no error.
-	const creditCeiling = 1 << 30
-	if cfg.Credits > creditCeiling || cfg.MaxCredits > creditCeiling {
-		return fmt.Errorf("capcluster: Credits and MaxCredits must be <= %d, got %d/%d", creditCeiling, cfg.Credits, cfg.MaxCredits)
+	if cfg.FailThreshold < 0 {
+		return fmt.Errorf("capcluster: FailThreshold must be >= 0 (0 means default), got %d", cfg.FailThreshold)
 	}
 	// The failure ring allocates next-pow2(threshold) slots per backend;
 	// a huge threshold is a typo that would OOM at startup.
@@ -254,11 +222,8 @@ func (cfg Config) Validate() error {
 	if cfg.FailThreshold > thresholdCeiling {
 		return fmt.Errorf("capcluster: FailThreshold must be <= %d, got %d", thresholdCeiling, cfg.FailThreshold)
 	}
-	if cfg.FailWindow < 0 || cfg.Timeout < 0 || cfg.MaxBody < 0 {
-		return fmt.Errorf("capcluster: FailWindow, Timeout and MaxBody must be >= 0 (0 means default)")
-	}
-	if cfg.AttemptTimeout < 0 || cfg.RefreshTimeout < 0 || cfg.TrialBackoff < 0 {
-		return fmt.Errorf("capcluster: AttemptTimeout, RefreshTimeout and TrialBackoff must be >= 0 (0 means default)")
+	if cfg.FailWindow < 0 || cfg.Timeout < 0 || cfg.AttemptTimeout < 0 {
+		return fmt.Errorf("capcluster: FailWindow, Timeout and AttemptTimeout must be >= 0 (0 means default)")
 	}
 	if cfg.StaleTTL < 0 || cfg.FeedBackoff < 0 {
 		return fmt.Errorf("capcluster: StaleTTL and FeedBackoff must be >= 0 (0 means default)")
@@ -284,6 +249,7 @@ type Router struct {
 	client   *http.Client
 	scrape   *http.Client // Refresh's own client: short timeout, never waits a dispatch Timeout on a sick backend
 	feed     *http.Client // credit-feed subscriptions: no client timeout (streams live forever), watchdogged per event
+	maxBody  int64        // DefaultMaxBody; tests shrink it
 	mux      *http.ServeMux
 	start    time.Time
 	draining atomic.Bool
@@ -319,12 +285,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = LeastLoaded{}
 	}
-	if cfg.Credits == 0 {
-		cfg.Credits = DefaultCredits
-	}
-	if cfg.MaxCredits == 0 {
-		cfg.MaxCredits = DefaultMaxCredits
-	}
 	if cfg.FailThreshold == 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
@@ -337,12 +297,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.AttemptTimeout == 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
-	if cfg.RefreshTimeout == 0 {
-		cfg.RefreshTimeout = DefaultRefreshTimeout
-	}
-	if cfg.TrialBackoff == 0 {
-		cfg.TrialBackoff = DefaultTrialBackoff
-	}
 	if cfg.SlowFactor == 0 {
 		cfg.SlowFactor = DefaultSlowFactor
 	}
@@ -352,9 +306,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SlowMinSamples == 0 {
 		cfg.SlowMinSamples = DefaultSlowMinSamples
 	}
-	if cfg.MaxBody == 0 {
-		cfg.MaxBody = DefaultMaxBody
-	}
 	if cfg.StaleTTL == 0 {
 		cfg.StaleTTL = DefaultStaleTTL
 	}
@@ -363,7 +314,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = defaultTransport(cfg.MaxCredits)
+		transport = defaultTransport(DefaultMaxCredits)
 	}
 	feedTransport := cfg.FeedTransport
 	if feedTransport == nil {
@@ -378,8 +329,9 @@ func New(cfg Config) (*Router, error) {
 		local:   cfg.Local,
 		place:   cfg.Placement,
 		client:  &http.Client{Transport: transport, Timeout: cfg.Timeout},
-		scrape:  &http.Client{Transport: transport, Timeout: cfg.RefreshTimeout},
+		scrape:  &http.Client{Transport: transport, Timeout: DefaultRefreshTimeout},
 		feed:    &http.Client{Transport: feedTransport},
+		maxBody: DefaultMaxBody,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		tracer:  cfg.Tracer,
@@ -388,7 +340,7 @@ func New(cfg Config) (*Router, error) {
 	for i, base := range cfg.Backends {
 		u, _ := url.Parse(base) // validated above
 		r.backends = append(r.backends, newBackend(
-			base, u.Host, i, cfg.Credits, cfg.MaxCredits, cfg.FailThreshold, cfg.FailWindow, cfg.TrialBackoff))
+			base, u.Host, i, DefaultCredits, DefaultMaxCredits, cfg.FailThreshold, cfg.FailWindow, DefaultTrialBackoff))
 	}
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
@@ -465,13 +417,13 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 	var body []byte
 	if req.Method == http.MethodPost && req.Body != nil && req.ContentLength != 0 {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, r.cfg.MaxBody+1))
+		body, err = io.ReadAll(io.LimitReader(req.Body, r.maxBody+1))
 		if err != nil {
 			http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
 			return
 		}
-		if int64(len(body)) > r.cfg.MaxBody {
-			http.Error(w, fmt.Sprintf("body exceeds the %d-byte cap", r.cfg.MaxBody), http.StatusRequestEntityTooLarge)
+		if int64(len(body)) > r.maxBody {
+			http.Error(w, fmt.Sprintf("body exceeds the %d-byte cap", r.maxBody), http.StatusRequestEntityTooLarge)
 			return
 		}
 	}
@@ -552,15 +504,15 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 // CreditDelta fetched from GET /debug/credits?once=1 — the push feed's
 // own wire format, so the fetched delta passes the same sanity window
 // and the same seq guard as a streamed one, and a draining backend
-// reports its draining bit. It is the slow capacity feed — response
-// headers are the fast one — and the recovery path for a backend
-// parked at zero credits with no traffic to advertise through.
-// Backends are fetched concurrently and with the dedicated
-// short-timeout scrape client (Config.RefreshTimeout, not the dispatch
-// Timeout), so one black-holed backend costs the fleet at most one
-// RefreshTimeout, not a 10 s dispatch budget — the recovery feed must
-// not be starved by exactly the sick backend it exists to work around.
-// cmd/caprouter runs it on a ticker; tests call it directly.
+// reports its draining bit. It is the gauge's only input besides the
+// push feed: the startup snapshot, the fallback for a backend whose
+// stream is down, and so the recovery path for a backend parked at
+// zero credits. Backends are fetched concurrently and with the
+// dedicated short-timeout scrape client (DefaultRefreshTimeout, not the
+// dispatch Timeout), so one black-holed backend costs the fleet at most
+// one refresh timeout, not a 10 s dispatch budget — the recovery feed
+// must not be starved by exactly the sick backend it exists to work
+// around. cmd/caprouter runs it on a ticker; tests call it directly.
 //
 // With the push plane live (StartFeeds), Refresh only pays for backends
 // the push plane has lost: a backend whose feed is fresh within
@@ -568,9 +520,9 @@ func (r *Router) handleRun(w http.ResponseWriter, req *http.Request) {
 // caprouter_refresh_skipped_total series — steady-state proof the feed
 // is carrying the fleet). A fetched delta never counts as feed
 // freshness, so a backend with a dead stream is fetched on every tick.
-// A backend whose every live source is quiet past the TTL *and* whose
-// fetch just failed decays toward Config.Credits instead of serving a
-// stale gauge forever.
+// A backend whose feed and fetches have both been quiet past the TTL
+// *and* whose fetch just failed decays toward DefaultCredits instead of
+// serving a stale gauge forever.
 func (r *Router) Refresh() {
 	ttl := r.cfg.StaleTTL.Nanoseconds()
 	var wg sync.WaitGroup
@@ -585,7 +537,7 @@ func (r *Router) Refresh() {
 			if err := r.refreshBackend(b); err != nil {
 				r.refreshErrs.Add(1)
 				if b.stale(ttl) {
-					b.decayStale(r.cfg.Credits)
+					b.decayStale(DefaultCredits)
 				}
 			}
 		}(b)

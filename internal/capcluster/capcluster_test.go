@@ -88,11 +88,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Local: local, Backends: []string{"ftp://x"}}).Validate(); err == nil {
 		t.Fatal("non-http backend URL accepted")
 	}
-	if err := (Config{Local: local, Credits: -1}).Validate(); err == nil {
-		t.Fatal("negative Credits accepted")
-	}
-	if err := (Config{Local: local, MaxCredits: 1 << 31}).Validate(); err == nil {
-		t.Fatal("uint32-truncating MaxCredits accepted")
+	if err := (Config{Local: local, FailThreshold: -1}).Validate(); err == nil {
+		t.Fatal("negative FailThreshold accepted")
 	}
 	if err := (Config{Local: local, FailWindow: -time.Second}).Validate(); err == nil {
 		t.Fatal("negative FailWindow accepted")
@@ -463,8 +460,15 @@ func TestNoBackendsServesLocally(t *testing.T) {
 // death — the router moves to the next backend and the client never
 // sees the shed.
 func TestShedRetriesNextBackend(t *testing.T) {
+	// The shedder publishes a zero-headroom delta on every shed, as
+	// capserve does; the ?once=1 fetch serves the latest one.
+	var sheds atomic.Uint64
 	shedder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(capserve.HeaderQueueFree, "0")
+		if r.URL.Path == "/debug/credits" {
+			fmt.Fprintf(w, `{"seq":%d,"queue_free":0}`, sheds.Load()+1)
+			return
+		}
+		sheds.Add(1)
 		http.Error(w, "full", http.StatusServiceUnavailable)
 	}))
 	defer shedder.Close()
@@ -485,13 +489,16 @@ func TestShedRetriesNextBackend(t *testing.T) {
 	if bs.Sheds != 1 || bs.Deaths != 0 {
 		t.Fatalf("shedder stats: %+v, want 1 shed and 0 deaths", bs)
 	}
-	// The shed's headroom header (0 free) collapsed the stale credits to
-	// exactly the dispatch that was in flight when it was learned: the
-	// default ceiling (4) is gone, and once that dispatch released, the
-	// gauge reads 1 — one retry allowed after the current batch drains,
-	// nothing more.
-	if c := r.Backends()[0].Credits(); c != 1 {
-		t.Fatalf("shedder credits %d after learn(0) with one dispatch in flight, want 1", c)
+	// The shed response itself teaches the gauge nothing; the
+	// zero-headroom delta published with it does. Once it lands, the
+	// stale default ceiling (4) is gone and, with nothing in flight, the
+	// gauge reads 0 — no dispatch until the backend advertises room.
+	if c := r.Backends()[0].Credits(); c != DefaultCredits {
+		t.Fatalf("shedder credits %d straight after the shed, want the untouched %d", c, DefaultCredits)
+	}
+	r.Refresh()
+	if c := r.Backends()[0].Credits(); c != 0 {
+		t.Fatalf("shedder credits %d after its zero-headroom delta, want 0", c)
 	}
 }
 
@@ -602,7 +609,7 @@ func TestKilledBackendRedistributes(t *testing.T) {
 	backends[0].Runtime().Close()
 }
 
-// TestRefreshLearnsCredits: the /metrics scrape raises the default
+// TestRefreshLearnsCredits: the fetched credit delta raises the default
 // ceiling to the backend's real queue depth.
 func TestRefreshLearnsCredits(t *testing.T) {
 	b := startBackend(t, 2, 24)

@@ -1,7 +1,7 @@
 package capcluster
 
 // Hardening tests: the failure modes capfault exists to reproduce —
-// black holes, trickles, mid-body deaths, corrupt headers, stalled
+// black holes, trickles, mid-body deaths, corrupt credit deltas, stalled
 // scrapes — and the dispatch-ladder machinery that contains each one.
 
 import (
@@ -17,15 +17,17 @@ import (
 	"time"
 
 	"repro/internal/capfault"
-	"repro/internal/capserve"
 )
 
-// okBackend is a fake capserve backend answering 200 with a fixed body
-// and an honest headroom header.
+// okBackend is a fake capserve backend answering /run with a fixed body
+// and the ?once=1 credit fetch with an honest delta.
 func okBackend(t *testing.T, body string, free int) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(capserve.HeaderQueueFree, fmt.Sprint(free))
+		if r.URL.Path == "/debug/credits" {
+			fmt.Fprintf(w, `{"seq":1,"queue_free":%d}`, free)
+			return
+		}
 		io.WriteString(w, body)
 	}))
 	t.Cleanup(ts.Close)
@@ -270,10 +272,10 @@ func TestRefreshNotStalledBySickBackend(t *testing.T) {
 	defer healthy.Close()
 
 	r, _ := newRouter(t, Config{
-		Backends:       []string{sick.URL, healthy.URL},
-		Timeout:        10 * time.Second, // the dispatch budget the scrape must NOT inherit
-		RefreshTimeout: 200 * time.Millisecond,
+		Backends: []string{sick.URL, healthy.URL},
+		Timeout:  10 * time.Second, // the dispatch budget the scrape must NOT inherit
 	})
+	r.scrape.Timeout = 200 * time.Millisecond // DefaultRefreshTimeout, shortened
 	hb := r.Backends()[1]
 	hb.setCredits(0) // parked: exactly the state Refresh exists to recover
 
@@ -292,10 +294,11 @@ func TestRefreshNotStalledBySickBackend(t *testing.T) {
 	}
 }
 
-// TestLearnRejectsCorruptHeader is the fast-credit-feed clamp: garbage
-// X-Capserve-Queue-Free values are dropped and counted, never learned.
+// TestLearnRejectsCorruptHeader is the credit-delta clamp: garbage
+// queue_free values are dropped and counted (in bad_headers, the
+// counter's historical name), never learned.
 func TestLearnRejectsCorruptHeader(t *testing.T) {
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		in   string
 		want int
 		ok   bool
@@ -310,20 +313,28 @@ func TestLearnRejectsCorruptHeader(t *testing.T) {
 		{"12.5", 0, false},
 		{"", 0, false},
 	} {
-		got, ok := parseHeadroom(tc.in)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("parseHeadroom(%q) = %d,%v; want %d,%v", tc.in, got, ok, tc.want, tc.ok)
+		b := newBackend("http://127.0.0.1:1", "b0", 0, 7, 1<<30, 2, time.Second, 0)
+		_, err := b.takeDelta([]byte(fmt.Sprintf(`{"seq":%d,"queue_free":%s}`, i+1, tc.in)), true)
+		if ok := err == nil; ok != tc.ok || (ok && b.Credits() != tc.want) {
+			t.Errorf("queue_free %q: credits %d, err %v; want %d, ok %v", tc.in, b.Credits(), err, tc.want, tc.ok)
+		}
+		if !tc.ok && (b.Credits() != 7 || b.badHeaders.Load() != 1) {
+			t.Errorf("queue_free %q: credits %d, badHeaders %d; want the untouched 7 and 1", tc.in, b.Credits(), b.badHeaders.Load())
 		}
 	}
 
 	// Through the wire: a backend advertising garbage serves fine but
 	// teaches nothing, and the rejection is counted per backend.
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(capserve.HeaderQueueFree, "99999999999")
+		if r.URL.Path == "/debug/credits" {
+			io.WriteString(w, `{"seq":1,"queue_free":99999999999}`)
+			return
+		}
 		io.WriteString(w, "ok")
 	}))
 	defer evil.Close()
-	r, ts := newRouter(t, Config{Backends: []string{evil.URL}, Credits: 4})
+	r, ts := newRouter(t, Config{Backends: []string{evil.URL}})
+	r.Refresh()
 	resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 	if resp.StatusCode != 200 || string(body) != "ok" {
 		t.Fatalf("resp %d %q", resp.StatusCode, body)
@@ -332,8 +343,8 @@ func TestLearnRejectsCorruptHeader(t *testing.T) {
 	if b.badHeaders.Load() != 1 {
 		t.Fatalf("badHeaders = %d, want 1", b.badHeaders.Load())
 	}
-	if c := b.Credits(); c != 4 {
-		t.Fatalf("credits = %d after corrupt header, want the untouched initial 4", c)
+	if c := b.Credits(); c != DefaultCredits {
+		t.Fatalf("credits = %d after a corrupt delta, want the untouched initial %d", c, DefaultCredits)
 	}
 }
 
@@ -356,6 +367,7 @@ func TestMidBodyDeathRetries(t *testing.T) {
 		Backends:      []string{victim.URL, healthy.URL},
 		FailThreshold: 100, // keep retries flowing to the victim
 	})
+	r.Refresh() // the healthy backend teaches its 4; the victim's fetch dies too
 	for i := 0; i < 12; i++ {
 		resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 		if resp.StatusCode != 200 {
@@ -374,8 +386,8 @@ func TestMidBodyDeathRetries(t *testing.T) {
 }
 
 // TestOversizedBodyStreams covers the buffered→streaming hand-off: a
-// body past MaxBody (with a lying Content-Length) still relays intact
-// through prefixedBody.
+// body past the body cap (with a lying Content-Length) still relays
+// intact through prefixedBody.
 func TestOversizedBodyStreams(t *testing.T) {
 	big := strings.Repeat("x", 300)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -385,7 +397,8 @@ func TestOversizedBodyStreams(t *testing.T) {
 		io.WriteString(w, big)
 	}))
 	defer backend.Close()
-	r, ts := newRouter(t, Config{Backends: []string{backend.URL}, MaxBody: 100})
+	r, ts := newRouter(t, Config{Backends: []string{backend.URL}})
+	r.maxBody = 100 // DefaultMaxBody, shrunk below the 300-byte body
 	resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
 	if resp.StatusCode != 200 || string(body) != big {
 		t.Fatalf("oversized relay: status %d, %d bytes (want 200, %d)", resp.StatusCode, len(body), len(big))
@@ -420,9 +433,9 @@ func TestClientGoneDuringTrial(t *testing.T) {
 		Backends:      []string{backend.URL},
 		FailThreshold: 2,
 		FailWindow:    100 * time.Millisecond,
-		TrialBackoff:  time.Nanosecond, // the jitter gate is not under test here
 	})
 	b := r.Backends()[0]
+	b.trialBackoffNS = 1 // the jitter gate is not under test here
 
 	// Trip the breaker with two 5xxs (requests fall back locally, fine).
 	for i := 0; i < 2; i++ {
@@ -483,8 +496,8 @@ func TestClientGoneDuringTrial(t *testing.T) {
 	b.abortTrial()
 }
 
-// TestFailRingStormRace hammers the failRing's documented benign
-// overwrite races (concurrent record vs record and record vs atLeast)
+// TestFailRingStormRace hammers the breaker ring's (capsule.DeathRing)
+// documented benign overwrite races (concurrent record vs record and record vs atLeast)
 // together with probe/fail/recover/eject from many goroutines. Its
 // value is under -race: the "benign" claim is only benign if the race
 // detector agrees the accesses are synchronized atomics.

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/capserve"
 	"repro/internal/captrace"
 	"repro/internal/httptune"
 )
@@ -68,15 +67,16 @@ const (
 
 // dispatch forwards one admitted (probe-granted) request to b and relays
 // the response. It owns the granted credit: every path releases exactly
-// once, after the response — and its headroom header, the fast credit
-// feed — has been consumed. A traced request's ID is re-stamped on the
-// outbound header, so the backend adopts the same identity and its
-// serving/runtime events join the router's route span in one waterfall.
+// once, after the response has been consumed. The response teaches the
+// gauge nothing; headroom arrives only as seq-guarded CreditDeltas. A
+// traced request's ID is re-stamped on the outbound header, so the
+// backend adopts the same identity and its serving/runtime events join
+// the router's route span in one waterfall.
 //
 // The attempt runs under min(Config.AttemptTimeout, time left until
 // deadline) — the hardening capfault's black-hole forced: a backend
 // that accepts and stalls costs the request one attempt slice, not the
-// whole budget, and the walk moves on. Responses up to MaxBody are
+// whole budget, and the walk moves on. Responses up to DefaultMaxBody are
 // buffered before anything is written to the client, so a backend dying
 // mid-body is a retryable death (the next backend gets the request)
 // instead of a truncated 200.
@@ -138,21 +138,6 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 	// before classifying the status.
 	b.recover()
 
-	// The fast credit feed: every capserve response advertises its queue
-	// headroom at the instant it answered. The header crosses a process
-	// boundary, so it is clamped like any other untrusted input — a
-	// corrupted or injected value must not inflate the gauge (learn caps
-	// at MaxCredits, but pinning a backend *at* the cap is still
-	// inflation, so garbage is dropped at the parse).
-	if hdr := resp.Header.Get(capserve.HeaderQueueFree); hdr != "" {
-		if free, ok := parseHeadroom(hdr); ok {
-			b.learn(free)
-			b.markFresh()
-		} else {
-			b.badHeaders.Add(1)
-		}
-	}
-
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		io.Copy(io.Discard, resp.Body)
@@ -164,13 +149,13 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 		return died
 	}
 
-	// 2xx and 4xx proxy through. Bodies up to MaxBody are buffered
+	// 2xx and 4xx proxy through. Bodies up to DefaultMaxBody are buffered
 	// first — the client has seen nothing yet, so a mid-body death stays
 	// retryable — and the attempt deadline covers the read, so a
 	// trickling body slower than the slice is a death too, not a stall.
-	if resp.ContentLength <= r.cfg.MaxBody {
+	if resp.ContentLength <= r.maxBody {
 		var buf bytes.Buffer
-		if n, err := io.Copy(&buf, io.LimitReader(resp.Body, r.cfg.MaxBody+1)); err == nil && n <= r.cfg.MaxBody {
+		if n, err := io.Copy(&buf, io.LimitReader(resp.Body, r.maxBody+1)); err == nil && n <= r.maxBody {
 			h := w.Header()
 			if ct := resp.Header.Get("Content-Type"); ct != "" {
 				h.Set("Content-Type", ct)
@@ -191,7 +176,7 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 			b.fail()
 			return died
 		}
-		// n > MaxBody with a lying/absent Content-Length: fall through to
+		// n > maxBody with a lying/absent Content-Length: fall through to
 		// streaming what was buffered plus the rest.
 		resp.Body = &prefixedBody{head: buf.Bytes(), tail: resp.Body}
 	}
@@ -216,27 +201,9 @@ func (r *Router) dispatch(w http.ResponseWriter, req *http.Request, b *Backend, 
 	return dispatched
 }
 
-// headroomCeiling bounds a believable X-Capserve-Queue-Free value. The
-// largest honest headroom is the backend's queue depth; anything beyond
-// this is a corrupted or hostile header, not a big queue.
-const headroomCeiling = 1 << 20
-
-// parseHeadroom validates the fast credit feed's header value: a
-// non-negative integer no larger than headroomCeiling. Anything else —
-// unparseable, negative, absurd — is rejected (counted per backend as
-// caprouter_backend_bad_headers_total) so the gauge only ever learns
-// plausible capacity.
-func parseHeadroom(s string) (int, bool) {
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 || v > headroomCeiling {
-		return 0, false
-	}
-	return v, true
-}
-
 // prefixedBody replays an already-buffered head before the unread tail
 // of the response body — the hand-off from buffered to streaming relay
-// when a body outgrows MaxBody mid-read.
+// when a body outgrows maxBody mid-read.
 type prefixedBody struct {
 	head []byte
 	tail io.ReadCloser

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/capserve"
+	"repro/internal/capsule"
 )
 
 // A Backend is one remote capserve instance as the router sees it: a URL
@@ -21,9 +22,15 @@ import (
 //     cluster's context tokens: the router grants a dispatch only while
 //     it holds headroom the backend has advertised, so the deny path
 //     never touches the network;
-//   - a failure ring — the breaker described on failRing: backend
-//     errors/timeouts are cluster-scope deaths, and enough of them
-//     inside the window deny further probes until it drains.
+//   - a failure ring — internal/capsule's DeathRing, reused: backend
+//     errors/timeouts are cluster-scope deaths, and "at least threshold
+//     failures inside the trailing window" is the breaker condition,
+//     answered with one or two atomic loads and a lazy clock read
+//     exactly like the runtime's division throttle. The ring's benign
+//     races err toward breaking or leak one probe, never correctness.
+//     Re-admission is implicit: once the window slides past the old
+//     failures probes flow again, the first one being the half-open
+//     trial.
 //
 // Counters are cumulative since construction and exported on the
 // router's /metrics per backend.
@@ -39,7 +46,7 @@ type Backend struct {
 	// learn (replace the high half) can never tear against each other.
 	gauge atomic.Uint64
 
-	ring          failRing
+	ring          capsule.DeathRing
 	failThreshold int
 	failWindowNS  int64
 	maxCredits    uint32
@@ -70,7 +77,7 @@ type Backend struct {
 	feedMu        sync.Mutex
 	feedSeq       atomic.Uint64 // highest applied delta sequence number
 	feedNS        atomic.Int64  // last instant a feed delta was applied (0 = never)
-	freshNS       atomic.Int64  // last instant ANY live source updated the gauge
+	freshNS       atomic.Int64  // last instant any delta (pushed or fetched) was applied
 	feedConnected atomic.Bool   // a subscription stream is currently open
 	feedDeltas    atomic.Uint64 // deltas applied to the gauge
 	feedDrops     atomic.Uint64 // deltas discarded by the seq regression guard
@@ -84,7 +91,7 @@ type Backend struct {
 	creditDenies  atomic.Uint64 // probes refused for lack of credit
 	breakerDenies atomic.Uint64 // probes refused by the failure breaker
 	ejections     atomic.Uint64 // slow-backend ejections (CheckSlow)
-	badHeaders    atomic.Uint64 // rejected credit advertisements (headers or feed deltas)
+	badHeaders    atomic.Uint64 // rejected credit deltas (the historical bad_headers name)
 
 	// slowPrev is CheckSlow's cumulative dispatch-latency snapshot from
 	// the previous interval. Owned by the single CheckSlow caller (the
@@ -121,7 +128,7 @@ func newBackend(url, name string, id, credits, maxCredits, failThreshold int, fa
 		trialBackoffNS: trialBackoff.Nanoseconds(),
 		now:            func() int64 { return time.Now().UnixNano() },
 	}
-	b.ring.init(failThreshold)
+	b.ring.Init(failThreshold)
 	b.setCredits(credits)
 	return b
 }
@@ -141,7 +148,7 @@ func (b *Backend) Inflight() int { return int(uint32(b.gauge.Load())) }
 // Broken reports whether the failure breaker is currently denying
 // probes: at least failThreshold failures inside the trailing window.
 func (b *Backend) Broken() bool {
-	return b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS)
+	return b.ring.AtLeast(b.failThreshold, b.now, b.failWindowNS)
 }
 
 // probe is ProbeRemote for this backend: reserve one credit, or refuse.
@@ -151,7 +158,7 @@ func (b *Backend) Broken() bool {
 // backend per request, the same economics the paper demands of nthr. On
 // success the caller owes exactly one release.
 func (b *Backend) probe() bool {
-	if b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS) {
+	if b.ring.AtLeast(b.failThreshold, b.now, b.failWindowNS) {
 		b.breakerDenies.Add(1)
 		return false
 	}
@@ -163,7 +170,7 @@ func (b *Backend) probe() bool {
 		// failed trials must have elapsed (so recovering backends aren't
 		// re-tripped by a synchronized trial herd), and only one prober
 		// wins the trial slot.
-		if b.ring.atLeast(1, b.now, b.failWindowNS) ||
+		if b.ring.AtLeast(1, b.now, b.failWindowNS) ||
 			b.now() < b.nextTrialNS.Load() ||
 			!b.probation.CompareAndSwap(probationWait, probationTrial) {
 			b.breakerDenies.Add(1)
@@ -201,35 +208,37 @@ func (b *Backend) release() { b.gauge.Add(^uint64(0)) }
 // out by a jittered exponential backoff.
 func (b *Backend) fail() {
 	b.deaths.Add(1)
-	b.ring.record(b.now())
+	b.ring.Record(b.now())
 	if b.probation.Load() == probationTrial {
 		b.scheduleTrial(b.trialFails.Add(1))
 		b.probation.Store(probationWait)
 		return
 	}
-	if b.ring.atLeast(b.failThreshold, b.now, b.failWindowNS) {
+	if b.ring.AtLeast(b.failThreshold, b.now, b.failWindowNS) {
 		b.probation.Store(probationWait)
 	}
 }
 
 // scheduleTrial sets the earliest instant of the next half-open trial
-// after the fails-th consecutive trial failure: trialBackoff·2^(fails-1)
-// (capped at 2^6) jittered deterministically into [0.5×, 1.5×). The
-// jitter is a pure function of (backend identity, fails), so it is
-// reproducible in tests yet decorrelated across backends and across
-// routers probing the same backend fleet.
+// after the fails-th consecutive trial failure: step fails-1 of the
+// backoff ladder, so the first failed trial waits ~DefaultTrialBackoff.
 func (b *Backend) scheduleTrial(fails uint32) {
-	if b.trialBackoffNS <= 0 {
-		return
+	b.nextTrialNS.Store(b.now() + backoff(b.nameHash, fails-1, b.trialBackoffNS))
+}
+
+// backoff is step s of the jittered exponential ladder both retry loops
+// use (failed half-open trials, credit-feed reconnects): baseNS·2^min(s,6),
+// jittered deterministically into [0.5×, 1.5×). The jitter is a pure
+// function of (backend identity, s), so it is reproducible in tests yet
+// decorrelated across backends and across routers probing the same
+// fleet, which is what keeps their retries from lining up into a herd.
+func backoff(nameHash uint64, s uint32, baseNS int64) int64 {
+	if baseNS <= 0 {
+		return 0
 	}
-	shift := fails - 1
-	if shift > 6 {
-		shift = 6
-	}
-	base := b.trialBackoffNS << shift
-	h := mix64(b.nameHash ^ uint64(fails)*0x9e3779b97f4a7c15)
-	d := base/2 + int64(h%uint64(base))
-	b.nextTrialNS.Store(b.now() + d)
+	base := baseNS << min(s, 6)
+	h := mix64(nameHash ^ (uint64(s)+1)*0x9e3779b97f4a7c15)
+	return base/2 + int64(h%uint64(base))
 }
 
 // recover marks the backend alive: any received response (2xx, 4xx,
@@ -298,12 +307,20 @@ func (b *Backend) applyDelta(seq uint64, free int, draining, fromFeed bool) bool
 	return true
 }
 
+// headroomCeiling bounds a believable CreditDelta.QueueFree. The largest
+// honest headroom is the backend's queue depth; anything beyond this is
+// a corrupted or hostile delta, not a big queue. (learn caps at
+// maxCredits too, but pinning a backend *at* the cap is still
+// inflation, so garbage is dropped before it reaches the gauge.)
+const headroomCeiling = 1 << 20
+
 // takeDelta decodes one CreditDelta — a /debug/credits stream payload
 // or a ?once=1 body, the same wire format — and folds it into the gauge
-// through applyDelta. A delta that does not decode, or that advertises
-// headroom outside the header path's sanity window (parseHeadroom), is
-// counted in badHeaders and never reaches the gauge: a corrupt or
-// hostile advertisement must not open the floodgates.
+// through applyDelta: the only way headroom reaches the gauge. A delta
+// that does not decode, or that advertises headroom outside
+// [0, headroomCeiling], is counted in badHeaders and never reaches the
+// gauge: a corrupt or hostile advertisement must not open the
+// floodgates.
 func (b *Backend) takeDelta(raw []byte, fromFeed bool) (capserve.CreditDelta, error) {
 	var d capserve.CreditDelta
 	err := json.Unmarshal(raw, &d)
@@ -318,10 +335,6 @@ func (b *Backend) takeDelta(raw []byte, fromFeed bool) (capserve.CreditDelta, er
 	return d, nil
 }
 
-// markFresh records that a response header just taught the gauge — the staleness TTL's other
-// input besides the feed.
-func (b *Backend) markFresh() { b.freshNS.Store(b.now()) }
-
 // feedFresh reports whether the push feed updated this gauge within
 // ttlNS — the Refresh skip condition: a backend the push plane holds
 // does not need its credit delta fetched.
@@ -330,8 +343,8 @@ func (b *Backend) feedFresh(ttlNS int64) bool {
 	return last != 0 && b.now()-last <= ttlNS
 }
 
-// stale reports whether EVERY live source (feed, headers, fetch) has
-// been quiet past ttlNS — the explicit staleness the gauge used to hide.
+// stale reports whether no delta, pushed or fetched, has landed within
+// ttlNS — the explicit staleness the gauge used to hide.
 func (b *Backend) stale(ttlNS int64) bool {
 	return b.now()-b.freshNS.Load() > ttlNS
 }
@@ -355,8 +368,8 @@ func (b *Backend) decayStale(def int) {
 	b.staleDecays.Add(1)
 }
 
-// learn folds one advertised headroom reading (a response header or a
-// credit delta) into the gauge: the backend can absorb everything
+// learn folds one applied delta's advertised headroom into the gauge
+// (applyDelta is its only caller): the backend can absorb everything
 // this router already has in flight plus the free slots it just
 // advertised, capped at maxCredits. Stale advertisements self-correct —
 // a backend whose queue other tenants filled advertises less, and the

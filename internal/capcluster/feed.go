@@ -2,8 +2,10 @@ package capcluster
 
 // The subscriber half of the push plane: one goroutine per backend
 // holds a long-lived GET /debug/credits stream (capserve/feed.go) and
-// folds each delta into that backend's credit gauge, demoting the
-// response-header and Refresh-fetch paths to degraded fallbacks.
+// folds each delta into that backend's credit gauge. It is the gauge's
+// only live signal; the Refresh fetch (one delta of the same wire
+// format, through the same seq guard) covers a backend whose stream is
+// down.
 //
 // Liveness is watchdogged, not assumed: a timer armed *before* the
 // subscription dial fires after Config.StaleTTL of silence and cancels
@@ -24,9 +26,9 @@ import (
 
 // StartFeeds subscribes to every backend's credit feed, one goroutine
 // per backend, each reconnecting with jittered backoff until ctx is
-// cancelled. Optional: a router without it behaves exactly as before
-// (headers + Refresh fetches). cmd/caprouter calls it under the signal
-// context; tests pass their own.
+// cancelled. A router without it learns only from Refresh fetches, so
+// every serving router calls it: cmd/caprouter under the signal
+// context, tests and benchmarks with their own.
 func (r *Router) StartFeeds(ctx context.Context) {
 	for _, b := range r.backends {
 		go r.feedLoop(ctx, b)
@@ -55,7 +57,7 @@ func (r *Router) feedLoop(ctx context.Context, b *Backend) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(feedBackoff(b.nameHash, fails, r.cfg.FeedBackoff.Nanoseconds())):
+		case <-time.After(time.Duration(backoff(b.nameHash, fails, r.cfg.FeedBackoff.Nanoseconds()))):
 		}
 	}
 }
@@ -120,22 +122,4 @@ func (r *Router) feedOnce(ctx context.Context, b *Backend) error {
 		return err
 	}
 	return fmt.Errorf("capcluster: %s credit feed closed", b.name)
-}
-
-// feedBackoff is the reconnect delay after the fails-th consecutive
-// subscription failure: FeedBackoff·2^min(fails,6), jittered
-// deterministically into [0.5×, 1.5×) per (backend, fails) — the
-// scheduleTrial recipe, reused so the two backoff ladders stay
-// reproducible in tests and decorrelated across a router fleet.
-func feedBackoff(nameHash uint64, fails uint32, baseNS int64) time.Duration {
-	if baseNS <= 0 {
-		return 0
-	}
-	shift := fails
-	if shift > 6 {
-		shift = 6
-	}
-	base := baseNS << shift
-	h := mix64(nameHash ^ (uint64(fails)+1)*0x9e3779b97f4a7c15)
-	return time.Duration(base/2 + int64(h%uint64(base)))
 }

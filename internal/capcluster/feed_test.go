@@ -58,7 +58,7 @@ func TestApplyDeltaSeqRegression(t *testing.T) {
 }
 
 // TestCreditGaugeConcurrentSources races every writer the gauge has —
-// header learns, push deltas, scrape-style setCredits, and the
+// pushed deltas, fetched deltas, decay-style setCredits, and the
 // probe/release pairs in between — under -race. The invariants: no
 // torn state (credits within [0, max], inflight drains to zero) and
 // the seq guard holds (the highest seq wins, drops+deltas add up).
@@ -82,19 +82,19 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 			}
 		}()
 	}
-	// Header-learn writers (the response-header path).
+	// Fetched-delta writers (the Refresh path), drawing from the same
+	// per-server seq counter as the stream.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < rounds; i++ {
-				b.learn((w + i) % 16)
-				b.markFresh()
+				b.applyDelta(seq.Add(1), (w+i)%16, false, false)
 			}
 		}(w)
 	}
-	// Scrape writers (Refresh's setCredits-shaped learn) and probers.
+	// Decay writers (Refresh's setCredits on a stale gauge) and probers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -126,8 +126,8 @@ func TestCreditGaugeConcurrentSources(t *testing.T) {
 	if got := b.feedSeq.Load(); got != seq.Load() {
 		t.Fatalf("feedSeq = %d, want the highest issued seq %d", got, seq.Load())
 	}
-	if applied, dropped := b.feedDeltas.Load(), b.feedDrops.Load(); applied+dropped != writers*rounds {
-		t.Fatalf("deltas applied (%d) + dropped (%d) = %d, want %d", applied, dropped, applied+dropped, writers*rounds)
+	if applied, dropped := b.feedDeltas.Load(), b.feedDrops.Load(); applied+dropped != 2*writers*rounds {
+		t.Fatalf("deltas applied (%d) + dropped (%d) = %d, want %d", applied, dropped, applied+dropped, 2*writers*rounds)
 	}
 }
 
@@ -396,6 +396,47 @@ func TestRefreshDropsOlderOnceReply(t *testing.T) {
 	}
 	if b.feedFresh(time.Second.Nanoseconds()) {
 		t.Fatal("a fetched delta made the dead stream look fresh")
+	}
+}
+
+// TestResponseHeaderNeverOverwritesDelta: the gauge learns headroom only
+// from seq-guarded deltas. A stub whose feed advertises queue_free 8
+// while its /run replies still carry the retired X-Capserve-Queue-Free
+// header at 0 must keep the delta's 8 after a dispatch; a router that
+// still read the header would learn 0 over the newer delta, around the
+// seq guard.
+func TestResponseHeaderNeverOverwritesDelta(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/debug/credits" {
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "data: {\"seq\":1,\"queue_free\":8}\n\n")
+			w.(http.Flusher).Flush()
+			<-req.Context().Done()
+			return
+		}
+		w.Header().Set("X-Capserve-Queue-Free", "0")
+		io.WriteString(w, "ok")
+	}))
+	t.Cleanup(stub.Close)
+	r, ts := newRouter(t, Config{Backends: []string{stub.URL}})
+	b := r.Backends()[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	r.StartFeeds(ctx)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for b.feedDeltas.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := b.Credits(); got != 8 {
+		t.Fatalf("credits = %d after the feed's delta, want 8", got)
+	}
+	resp, body := get(t, ts.URL+"/run/quicksort?n=64&seed=1")
+	if resp.StatusCode != 200 || string(body) != "ok" || resp.Header.Get(HeaderRoute) != "remote" {
+		t.Fatalf("dispatch: status %d, body %q, route %q", resp.StatusCode, body, resp.Header.Get(HeaderRoute))
+	}
+	if got := b.Credits(); got != 8 {
+		t.Fatalf("credits = %d after a reply carrying a zero headroom header, want the delta's 8", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func (r *Router) CheckSlow() int {
 func (b *Backend) eject() {
 	now := b.now()
 	for i := 0; i < b.failThreshold; i++ {
-		b.ring.record(now)
+		b.ring.Record(now)
 	}
 	b.probation.Store(probationWait)
 	b.ejections.Add(1)

@@ -183,7 +183,7 @@ func (r *Router) writeMetrics(w io.Writer) {
 		func(b *Backend) float64 { return float64(b.sheds.Load()) }, "%.0f")
 	perBackend("caprouter_backend_ejections_total", "Slow-backend ejections (p99 outlier vs fleet median).", "counter",
 		func(b *Backend) float64 { return float64(b.ejections.Load()) }, "%.0f")
-	perBackend("caprouter_backend_bad_headers_total", "Rejected credit advertisements (headers or feed deltas).", "counter",
+	perBackend("caprouter_backend_bad_headers_total", "Rejected credit deltas (pushed or fetched).", "counter",
 		func(b *Backend) float64 { return float64(b.badHeaders.Load()) }, "%.0f")
 	perBackend("caprouter_backend_feed_connected", "1 while a credit-feed subscription is open.", "gauge",
 		func(b *Backend) float64 {

@@ -20,7 +20,9 @@
 // /metrics exports the runtime's Stats plus per-endpoint request counts
 // and latency histograms in Prometheus text format, so the paper's
 // "% divisions allowed" (Table 3) is a live serving observable:
-// capsule_grant_rate.
+// capsule_grant_rate. /debug/credits streams the server's free capacity
+// as CreditDeltas (feed.go), the one signal a routing tier
+// (internal/capcluster) learns its per-backend credits from.
 package capserve
 
 import (
@@ -43,25 +45,13 @@ import (
 // getting in honest traffic's way.
 const DefaultMaxN = 1 << 20
 
-// Headroom headers: every /run response advertises the server's
-// instantaneous free capacity, so a routing tier (internal/capcluster)
-// can keep a local credit gauge per backend and answer its remote probes
-// without a network round-trip — the response traffic it already has IS
-// the capacity feed.
-const (
-	// HeaderQueueFree is the number of accept-queue slots free at
-	// response time (the responding request still holds its own slot, so
-	// the value is conservative by exactly the in-flight requests).
-	HeaderQueueFree = "X-Capserve-Queue-Free"
-	// HeaderFreeContexts is the runtime's unreserved context-token count
-	// — division headroom, not admission headroom.
-	HeaderFreeContexts = "X-Capsule-Free-Contexts"
-	// HeaderDegraded marks a 200 response whose run was admitted without
-	// division headroom and executed on the Sequential domain. The
-	// routing tier reads it off its local-fallback responses to tell the
-	// two degradation tiers apart (local-runtime vs sequential).
-	HeaderDegraded = "X-Capserve-Degraded"
-)
+// HeaderDegraded marks a 200 response whose run was admitted without
+// division headroom and executed on the Sequential domain. The routing
+// tier reads it off its local-fallback responses to tell the two
+// degradation tiers apart (local-runtime vs sequential). Headroom itself
+// is never stamped on responses: routers learn it from the
+// /debug/credits feed (feed.go).
+const HeaderDegraded = "X-Capserve-Degraded"
 
 // defaultCaps are the per-workload default input caps. They bound
 // worst-case per-request *time*, not just memory, so they track each
@@ -301,14 +291,6 @@ type runResponse struct {
 	Divisions capsule.GroupStats `json:"divisions"`
 }
 
-// setHeadroom stamps the credit-feed headers with the server's current
-// free capacity. Called at admission (so sheds and errors carry it too)
-// and again right before a 200 body, when the values are freshest.
-func (s *Server) setHeadroom(h http.Header) {
-	h.Set(HeaderQueueFree, strconv.Itoa(cap(s.queue)-len(s.queue)))
-	h.Set(HeaderFreeContexts, strconv.Itoa(s.rt.FreeContexts()))
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	wl := r.PathValue("workload")
 	ep, ok := s.eps[wl]
@@ -317,7 +299,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown workload %q (have %v)", wl, s.workloads), http.StatusNotFound)
 		return
 	}
-	s.setHeadroom(w.Header())
 
 	// Trace identity before admission, so even a shed is attributable
 	// to the ID the client (or router) stamped. The ID is echoed
@@ -331,8 +312,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Bounded accept queue: full means shed now, not queue forever.
 	// Each admission-queue transition is a credit event: the release
 	// publishes on the push feed (one atomic load when nobody is
-	// subscribed), so routers track headroom without a response in
-	// flight to carry the header.
+	// subscribed), so routers track headroom as it changes.
 	select {
 	case s.queue <- struct{}{}:
 		defer func() { <-s.queue; s.feed.publish() }()
@@ -341,10 +321,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.feed.publish()
 		ep.inc(http.StatusServiceUnavailable)
 		s.trace(traced, captrace.KReqShed, tid, 0, 0)
-		// Re-stamp: the admission-time stamp can predate the queue
-		// filling, and a shed advertising stale positive headroom would
-		// tell routers to keep sending to a saturated backend.
-		s.setHeadroom(w.Header())
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "accept queue full, request shed", http.StatusServiceUnavailable)
 		return
@@ -417,7 +393,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	ep.latency.Observe(elapsed)
 	s.trace(traced, captrace.KReqDone, tid, http.StatusOK, durUS(elapsed))
-	s.setHeadroom(w.Header()) // refresh: this is the value routers act on
 	if degraded {
 		w.Header().Set(HeaderDegraded, "1")
 	}

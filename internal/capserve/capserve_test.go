@@ -1,6 +1,7 @@
 package capserve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -344,32 +345,46 @@ func TestHeadroomGauges(t *testing.T) {
 	<-s.queue
 }
 
-// TestHeadroomHeaders asserts every /run response advertises queue and
-// context headroom — the credit feed the cluster router lives on.
-func TestHeadroomHeaders(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 8})
-	resp := getJSON(t, ts.URL+"/run/quicksort?n=100", nil)
-	free, err := strconv.Atoi(resp.Header.Get(HeaderQueueFree))
-	if err != nil || free < 0 || free > 8 {
-		t.Fatalf("%s = %q, want an int in [0,8]", HeaderQueueFree, resp.Header.Get(HeaderQueueFree))
+// TestShedPublishesZeroHeadroom pins what routers learn headroom from
+// now that responses carry none: the /debug/credits feed. A served
+// request's slot is back in the fetched delta, and a shed publishes a
+// zero-headroom delta at once — the refusal itself tells subscribed
+// routers to stop sending, without waiting for a heartbeat.
+func TestShedPublishesZeroHeadroom(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueDepth: 8, FeedHeartbeat: time.Hour})
+	if resp := getJSON(t, ts.URL+"/run/quicksort?n=100", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	if _, err := strconv.Atoi(resp.Header.Get(HeaderFreeContexts)); err != nil {
-		t.Fatalf("%s = %q, want an int", HeaderFreeContexts, resp.Header.Get(HeaderFreeContexts))
+	var once CreditDelta
+	getJSON(t, ts.URL+"/debug/credits?once=1", &once)
+	if once.QueueFree < 0 || once.QueueFree > 8 || once.FreeContexts < 0 {
+		t.Fatalf("once delta after a served request = %+v, want queue_free in [0,8]", once)
 	}
-	// A shed carries the headers too (queue full → zero free slots): the
-	// refusal itself tells the router to stop sending.
+
+	// The client timeout cuts the stream, so a missing delta fails the
+	// read instead of hanging it.
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(ts.URL + "/debug/credits")
+	if err != nil {
+		t.Fatalf("GET /debug/credits: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if d := readDelta(t, sc); d.QueueFree != 8 {
+		t.Fatalf("idle snapshot queue_free = %d, want 8", d.QueueFree)
+	}
 	for i := 0; i < 8; i++ {
 		s.queue <- struct{}{}
 	}
-	resp = getJSON(t, ts.URL+"/run/quicksort?n=100", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
+	defer func() {
+		for i := 0; i < 8; i++ {
+			<-s.queue
+		}
+	}()
+	if resp := getJSON(t, ts.URL+"/run/quicksort?n=100", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with full queue, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get(HeaderQueueFree); got != "0" {
-		t.Fatalf("shed %s = %q, want 0", HeaderQueueFree, got)
-	}
-	for i := 0; i < 8; i++ {
-		<-s.queue
+	if d := readDelta(t, sc); d.QueueFree != 0 {
+		t.Fatalf("delta published by the shed has queue_free %d, want 0", d.QueueFree)
 	}
 }
 

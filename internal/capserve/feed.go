@@ -1,12 +1,12 @@
 package capserve
 
 // The push plane: /debug/credits streams credit/health deltas to
-// subscribed routers. Response headers and a single-delta fetch
-// (?once=1, the same wire format) remain as degraded fallbacks for a
-// router that cannot hold a subscription, but a live feed makes credit
-// freshness an event, not a polling interval: every admission-queue
-// transition publishes, and an idle server heartbeats, so a router's
-// gauge is never staler than one heartbeat while the stream lives.
+// subscribed routers — the only way a server advertises its headroom.
+// A single-delta fetch (?once=1, the same wire format) covers a router
+// whose subscription is down, but a live feed makes credit freshness an
+// event, not a polling interval: every admission-queue transition
+// publishes, and an idle server heartbeats, so a router's gauge is never
+// staler than one heartbeat while the stream lives.
 //
 // The wire format is server-sent events: one `data: {json}` line per
 // delta, flushed immediately. Each delta carries a sequence number
@@ -32,20 +32,21 @@ import (
 // staleness TTL satisfied on a quiet fleet.
 const DefaultFeedHeartbeat = 500 * time.Millisecond
 
-// CreditDelta is one event on the /debug/credits push feed: the same
-// headroom the response headers advertise, plus the health facts a
-// router acts on (draining, build identity), stamped with a per-server
-// monotonic sequence number.
+// CreditDelta is one event on the /debug/credits push feed: the
+// server's free capacity plus the health facts a router acts on
+// (draining, build identity), stamped with a per-server monotonic
+// sequence number.
 type CreditDelta struct {
 	// Seq is monotonically increasing per server process, starting
 	// from the wall clock in nanoseconds at New, so a process restarted
 	// on the same address continues above its predecessor. A subscriber
 	// must ignore any delta whose Seq is <= the last one it applied.
 	Seq uint64 `json:"seq"`
-	// QueueFree is the accept-queue headroom (HeaderQueueFree's value).
+	// QueueFree is the accept-queue headroom: slots free when the delta
+	// was composed.
 	QueueFree int `json:"queue_free"`
-	// FreeContexts is the runtime's unreserved context-token count
-	// (HeaderFreeContexts's value).
+	// FreeContexts is the runtime's unreserved context-token count —
+	// division headroom, not admission headroom.
 	FreeContexts int `json:"free_contexts"`
 	// Draining is true once shutdown has begun: in-flight requests
 	// finish, but a router should stop sending new ones now, not after

@@ -206,7 +206,7 @@ type Runtime struct {
 
 	pool shardedPool // lock-free per-shard LIFOs of free context ids
 	ctxs []Context   // preallocated tokens, one per id: Probe allocates nothing
-	ring deathRing   // death timestamps for the throttle
+	ring DeathRing   // death timestamps for the throttle
 
 	workers   []chan job    // per-context park mailbox (the handoff slow path)
 	wstate    []workerState // per-context spin-then-park handoff slot
@@ -282,7 +282,7 @@ func newRuntime(cfg Config, shards int) *Runtime {
 	}
 	rt.tracer = cfg.Tracer
 	rt.pool.init(cfg.Contexts, shards)
-	rt.ring.init(cfg.DeathThreshold)
+	rt.ring.Init(cfg.DeathThreshold)
 	rt.ctxs = make([]Context, cfg.Contexts)
 	rt.ctxTrace = make([]uint64, cfg.Contexts)
 	rt.workerWG.Add(cfg.Contexts)
@@ -344,7 +344,7 @@ func (rt *Runtime) throttled() bool {
 	if !rt.cfg.Throttle {
 		return false
 	}
-	return rt.ring.atLeast(rt.cfg.DeathThreshold, rt.now, rt.cfg.DeathWindow.Nanoseconds())
+	return rt.ring.AtLeast(rt.cfg.DeathThreshold, rt.now, rt.cfg.DeathWindow.Nanoseconds())
 }
 
 // traceThrottleEdge records an open/close transition of the death-rate
@@ -500,7 +500,7 @@ func (rt *Runtime) release(id int) {
 	rt.live.Add(-1)
 	rt.stats[h].deaths.Add(1)
 	if rt.cfg.Throttle {
-		rt.ring.record(rt.now())
+		rt.ring.Record(rt.now())
 		if rt.tracer != nil {
 			// The death this worker just recorded may have tripped the
 			// throttle: the death path, not the probe path, is where open

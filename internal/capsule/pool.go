@@ -8,12 +8,15 @@ import "sync/atomic"
 // few cycles": the throttle check is one or two atomic loads, never a
 // mutex, never an allocation.
 //
-//   - deathRing: a fixed-size ring of death timestamps, replacing the
+//   - DeathRing: a fixed-size ring of death timestamps, replacing the
 //     slice-prune death window. "deaths in window >= threshold" collapses
 //     to one load: the threshold-th most recent death is still inside the
 //     window iff at least threshold deaths happened inside it.
 
-// deathRing records worker-death timestamps for the division throttle.
+// DeathRing records worker-death timestamps for the division throttle.
+// It is exported because the cluster tier reuses it unchanged: a
+// capcluster backend's failure breaker is the same ring over backend
+// errors and timeouts, the cluster's deaths.
 // Slot i&mask holds the timestamp of death number i (0-based); seq is the
 // count of deaths recorded so far. The ring holds at least threshold
 // entries, so the timestamp of the threshold-th most recent death is
@@ -32,15 +35,15 @@ import "sync/atomic"
 // not a mutual-exclusion device, so neither direction affects
 // correctness; precise counting is exactly the serialization the
 // lock-free rewrite removed.
-type deathRing struct {
+type DeathRing struct {
 	seq  atomic.Uint64
 	mask uint64
 	ts   []atomic.Int64
 }
 
-// init sizes the ring to the next power of two >= threshold (threshold >=
-// 1 is guaranteed by New's defaulting).
-func (r *deathRing) init(threshold int) {
+// Init sizes the ring to the next power of two >= threshold, so the
+// timestamp of the threshold-th most recent death is always resident.
+func (r *DeathRing) Init(threshold int) {
 	size := 1
 	for size < threshold {
 		size <<= 1
@@ -49,20 +52,20 @@ func (r *deathRing) init(threshold int) {
 	r.mask = uint64(size - 1)
 }
 
-// record logs one death at timestamp now.
-func (r *deathRing) record(now int64) {
+// Record logs one death at timestamp now.
+func (r *DeathRing) Record(now int64) {
 	i := r.seq.Add(1) - 1
 	r.ts[i&r.mask].Store(now)
 }
 
-// atLeast reports whether at least k recorded deaths have timestamps at
+// AtLeast reports whether at least k recorded deaths have timestamps at
 // or after now()-windowNS: true iff the k-th most recent death is still
 // inside the window. now is consulted only once k deaths exist at all,
 // so a quiescent runtime (no deaths yet — every Probe/Release benchmark,
 // and any pool that divides rarely) answers with one atomic load and no
 // clock read. That laziness is most of the probe fast path: reading the
 // OS clock costs more than the pool CAS itself.
-func (r *deathRing) atLeast(k int, now func() int64, windowNS int64) bool {
+func (r *DeathRing) AtLeast(k int, now func() int64, windowNS int64) bool {
 	seq := r.seq.Load()
 	if seq < uint64(k) {
 		return false

@@ -132,12 +132,12 @@ func (p *Plane) Tracer() *captrace.Tracer {
 // the fault injector, or nils (the router's defaults) with -fault off.
 // The feed gets its own wrap so a feed-scoped rule can cut the push
 // plane while dispatches stay healthy.
-func (p *Plane) Transports(maxCredits int) (dispatch, feed http.RoundTripper) {
+func (p *Plane) Transports() (dispatch, feed http.RoundTripper) {
 	if p.inj == nil {
 		return nil, nil
 	}
-	return p.inj.Transport(capcluster.DefaultTransport(maxCredits)),
-		p.inj.FeedTransport(capcluster.DefaultTransport(maxCredits))
+	return p.inj.Transport(capcluster.DefaultTransport(0)),
+		p.inj.FeedTransport(capcluster.DefaultTransport(0))
 }
 
 // Spawn boots the next in-process backend ("backend-N" in traces) on a
